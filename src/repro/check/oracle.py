@@ -41,6 +41,15 @@ layers, and returns one :class:`Discrepancy` per violated invariant
                    well-formed intervals, and the intervals contain the
                    exact value for at least the nominal fraction of
                    cells (minus binomial slack)
+``validator-equiv`` the columnar validator (:mod:`repro.trace.validate`)
+                   and the per-event reference
+                   (:mod:`repro.check.refvalidate`) return identical
+                   problem lists, order included, for the trace and for
+                   seeded single-row mutants of it (drop, re-type,
+                   re-tid, re-object)
+``malformed-rejected`` every mutant the reference flags makes the
+                   default ``analyze`` raise ``TraceValidationError``;
+                   it never yields a report
 ``analysis-error`` the pipeline raised instead of producing a result
 """
 
@@ -53,18 +62,23 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.check.mutate import single_row_mutants
+from repro.check.refvalidate import reference_trace_problems
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
-from repro.errors import ReproError
+from repro.errors import ReproError, TraceValidationError
 from repro.trace.events import EventType, ObjectKind
 from repro.trace.reader import read_trace
 from repro.trace.trace import Trace
+from repro.trace.validate import trace_problems
 from repro.trace.writer import write_trace
 
 __all__ = ["Discrepancy", "check_trace"]
 
 _REL = 1e-9
 _ABS = 1e-9
+#: Single-row mutants per trace for validator-equiv / malformed-rejected.
+_MUTANTS_PER_TRACE = 8
 
 
 @dataclass(frozen=True)
@@ -214,6 +228,9 @@ def check_trace(trace: Trace, has_nested_holds: bool = True) -> list[Discrepancy
 
     # -- sample-coverage
     out += _check_sampling(trace, result)
+
+    # -- validator-equiv + malformed-rejected
+    out += _check_validators(trace)
 
     return out
 
@@ -577,7 +594,7 @@ def _check_replay_identity(trace: Trace, result) -> list[Discrepancy]:
 
     try:
         sim = replay_identity(trace)
-        replayed = analyze(sim.trace, validate=False).report
+        replayed = analyze(sim.trace).report
     except ReproError as exc:
         return [
             Discrepancy(
@@ -710,6 +727,48 @@ def _check_sampling(trace: Trace, result) -> list[Discrepancy]:
     return out
 
 
+def _check_validators(trace: Trace) -> list[Discrepancy]:
+    """Columnar vs reference validator on the trace and its mutants, and
+    the default ``analyze`` refusing every mutant the reference flags."""
+    out: list[Discrepancy] = []
+    cases = [("original", trace)] + [
+        (m.label, m.trace) for m in single_row_mutants(trace, _MUTANTS_PER_TRACE)
+    ]
+    for label, case in cases:
+        ref = reference_trace_problems(case)
+        got = trace_problems(case)
+        if got != ref:
+            out.append(
+                Discrepancy(
+                    "validator-equiv",
+                    f"{label}: columnar {got[:3]} != reference {ref[:3]} "
+                    f"({len(got)} vs {len(ref)} problems)",
+                )
+            )
+        if not ref:
+            continue
+        try:
+            analyze(case)
+        except TraceValidationError:
+            continue
+        except Exception as exc:  # noqa: BLE001 — any other outcome is the bug
+            out.append(
+                Discrepancy(
+                    "malformed-rejected",
+                    f"{label}: analyze raised {type(exc).__name__}: {exc} "
+                    f"instead of TraceValidationError ({ref[0]})",
+                )
+            )
+        else:
+            out.append(
+                Discrepancy(
+                    "malformed-rejected",
+                    f"{label}: analyze returned a report although {ref[0]!r}",
+                )
+            )
+    return out
+
+
 def _check_roundtrip(trace: Trace) -> list[Discrepancy]:
     out: list[Discrepancy] = []
     with tempfile.TemporaryDirectory(prefix="cla-check-") as tmp:
@@ -763,6 +822,7 @@ def _check_truncated(trace: Trace) -> list[Discrepancy]:
     if sub.duration <= 0.0:
         return []
     try:
+        # The prefix is malformed by construction (open holds, no exits).
         result = analyze(sub, validate=False)
         graph = result.graph
         completion = graph.completion_time()

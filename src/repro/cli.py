@@ -485,7 +485,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.planner import plan_optimizations
 
-    analysis = analyze(read_trace(args.trace), validate=False)
+    analysis = analyze(read_trace(args.trace))
     print(plan_optimizations(analysis, steps=args.steps, factor=args.factor).render())
     return 0
 
@@ -515,8 +515,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.core.compare import compare_analyses
 
-    before = analyze(read_trace(args.before), validate=False)
-    after = analyze(read_trace(args.after), validate=False)
+    before = analyze(read_trace(args.before))
+    after = analyze(read_trace(args.after))
     print(compare_analyses(before, after).render())
     return 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.columnar.ops import latest_prior
+from repro.arrayops import latest_prior
 from repro.trace.events import EventType
 
 __all__ = ["consume_lock_batch"]

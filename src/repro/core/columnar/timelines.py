@@ -4,12 +4,12 @@ The object engine walks each thread's events with five little dicts
 (pending acquire/barrier/cond/join slots and per-lock hold stacks).
 Here each dict becomes one vectorized pass:
 
-* every "pending X" slot is two :func:`~repro.core.columnar.ops.
+* every "pending X" slot is two :func:`~repro.arrayops.
   latest_prior` queries — a slot holds a value iff the latest prior
   setter (ACQUIRE, BARRIER_ARRIVE, COND_BLOCK, JOIN_BEGIN) is more
   recent than the latest prior getter (which always pops);
 * the per-``(tid, lock)`` hold stacks are one
-  :func:`~repro.core.columnar.ops.lifo_match` parenthesis matching;
+  :func:`~repro.arrayops.lifo_match` parenthesis matching;
 * waits and holds end up as flat parallel arrays with per-thread /
   per-``(tid, obj)`` group index ranges, and :meth:`ColumnarTimelines.
   to_object` reconstructs the exact object-engine ``ThreadTimeline``
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.columnar.ops import dense_keys, group_bounds, latest_prior, lifo_match
+from repro.arrayops import dense_keys, group_bounds, latest_prior, lifo_match
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.model import HoldInterval, ThreadTimeline, Wait, WaitKind
 from repro.errors import AnalysisError

@@ -1,6 +1,6 @@
 """Vectorized waker resolution (columnar form of :mod:`repro.core.wakers`).
 
-Each of the paper's §IV.B rules is one :func:`~repro.core.columnar.ops.
+Each of the paper's §IV.B rules is one :func:`~repro.arrayops.
 latest_prior` query instead of a dict maintained while looping events:
 
 * contended OBTAIN → latest prior RELEASE keyed by lock object;
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.columnar.ops import dense_keys, group_bounds, latest_prior
+from repro.arrayops import dense_keys, group_bounds, latest_prior
 from repro.core.wakers import WakeInfo, WakerTable
 from repro.errors import WakerResolutionError
 from repro.trace.events import EventType

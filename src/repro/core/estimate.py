@@ -282,6 +282,7 @@ def estimate_report(
     )
 
     repaired, demoted = demote_orphan_contention(trace)
+    # A repaired sample is not a complete trace: dropped brackets leave gaps.
     result = analyze(repaired, validate=False, engine=engine)
     cp = result.critical_path
     timelines = result.timelines

@@ -248,7 +248,7 @@ def replay_whatif(
     sched = get_scheduler(scheduler, **sched_params)
 
     if baseline is None:
-        baseline = analyze(trace, validate=False).report
+        baseline = analyze(trace).report
     prog = reconstruct(trace).build(
         cores=_resolve_cores(trace, cores),
         seed=trace.meta.get("seed", 0),
@@ -257,6 +257,7 @@ def replay_whatif(
         priorities=priorities,
     )
     result = prog.run()
+    # Simulator output, not an input: its well-formedness is the simulator's contract.
     predicted = analyze(result.trace, validate=False).report
 
     base_rank = {
@@ -323,7 +324,7 @@ def forecast_matrix(
         protocols = [p for p in available_protocols() if p != "recorded"]
     if schedulers is None:
         schedulers = available_schedulers()
-    baseline = analyze(trace, validate=False).report
+    baseline = analyze(trace).report
     out = []
     for proto in protocols:
         for sched in schedulers:

@@ -36,7 +36,7 @@ def to_chrome_trace(
     if analysis is None:
         from repro.core.analyzer import analyze
 
-        analysis = analyze(trace, validate=False)
+        analysis = analyze(trace)
     events: list[dict[str, Any]] = []
     pid = 1
 

@@ -5,9 +5,10 @@ Two paths produce observations:
 * :class:`FleetIngestor` — a single daemon thread the service owns.
   Every trace-store write (upload or finalized stream session) enqueues
   the stored entry; the thread analyzes it off the request path and
-  folds the result into the aggregator.  Each digest is analyzed at
-  most once ever — the observation persists in fleet state, so a
-  service restart does not re-analyze the store.
+  folds the result into the aggregator (a writer that already analyzed
+  the trace, like ``finalize(analyze=True)``, hands over its report).
+  Each digest is analyzed at most once ever — the observation persists
+  in fleet state, so a service restart does not re-analyze the store.
 * :func:`ingest_store` — synchronous catch-up over a whole trace store
   (the ``fleet`` CLI working against a data directory, or a service
   that inherited a store populated before fleet observability existed).
@@ -33,24 +34,33 @@ log = logging.getLogger("repro.fleet")
 
 
 def observe_stored_trace(
-    aggregator: FleetAggregator, entry, *, save: bool = True
+    aggregator: FleetAggregator,
+    entry,
+    *,
+    save: bool = True,
+    report: dict[str, Any] | None = None,
+    meta: dict[str, Any] | None = None,
 ) -> Any | None:
     """Analyze one stored trace and observe it; None if already observed.
 
     ``entry`` is a :class:`repro.service.store.StoredTrace` (or anything
-    with ``digest``/``path``/``name`` attributes).
+    with ``digest``/``path``/``name`` attributes).  A caller that already
+    analyzed the trace passes its ``report`` (an ``analyze`` report dict)
+    and the trace's ``meta``; the trace is then not read again.
     """
     if aggregator.has(entry.digest):
         return None
-    from repro.core.analyzer import analyze
-    from repro.trace.reader import read_trace
+    if report is None:
+        from repro.core.analyzer import analyze
+        from repro.trace.reader import read_trace
 
-    trace = read_trace(entry.path)
-    report = analyze(trace, validate=False).report.to_dict()
+        trace = read_trace(entry.path)
+        report = analyze(trace).report.to_dict()
+        meta = trace.meta
     return aggregator.observe(
         report,
         digest=entry.digest,
-        workload=workload_of(trace.meta, entry.name),
+        workload=workload_of(meta, entry.name),
         save=save,
     )
 
@@ -96,10 +106,18 @@ class FleetIngestor:
         )
         self._thread.start()
 
-    def enqueue(self, entry) -> None:
-        """Schedule one stored trace for aggregation (idempotent by digest)."""
+    def enqueue(
+        self,
+        entry,
+        report: dict[str, Any] | None = None,
+        meta: dict[str, Any] | None = None,
+    ) -> None:
+        """Schedule one stored trace for aggregation (idempotent by digest).
+
+        ``report``/``meta`` as for :func:`observe_stored_trace`.
+        """
         if not self._closed:
-            self._queue.put(entry)
+            self._queue.put((entry, report, meta))
 
     def flush(self, timeout: float = 30.0) -> bool:
         """Wait until every enqueued trace has been processed."""
@@ -119,12 +137,15 @@ class FleetIngestor:
 
     def _run(self) -> None:
         while True:
-            entry = self._queue.get()
+            item = self._queue.get()
             try:
-                if entry is None:
+                if item is None:
                     return
+                entry, report, meta = item
                 t0 = time.perf_counter()
-                obs = observe_stored_trace(self.aggregator, entry)
+                obs = observe_stored_trace(
+                    self.aggregator, entry, report=report, meta=meta
+                )
                 if self.metrics is not None:
                     if obs is None:
                         self.metrics.count_fleet(duplicates=1)

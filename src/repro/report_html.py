@@ -53,7 +53,7 @@ def render_html_report(
 ) -> str:
     """Render the full report as an HTML string."""
     if analysis is None:
-        analysis = analyze(trace, validate=False)
+        analysis = analyze(trace)
     report = analysis.report
     name = title or report.name or "critical lock analysis"
     parts = [

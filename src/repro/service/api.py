@@ -53,6 +53,7 @@ original private local-disk layout.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -121,6 +122,10 @@ class ServiceAPI:
         self.fleet = FleetAggregator(self.data_dir / "fleet")
         self.fleet_rules = load_rules(rules_path) if rules_path else []
         self.fleet_ingestor = FleetIngestor(self.fleet, metrics=self.metrics)
+        # Inline finalize analyses share one long-lived thread: run on the
+        # short-lived request threads, each one grows its own malloc arena
+        # to a full analysis's peak, and the process RSS with them.
+        self._finalizer = ThreadPoolExecutor(1, thread_name_prefix="finalize")
         self._cache_keys: dict[str, str] = {}  # job id -> cache key
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
@@ -129,6 +134,7 @@ class ServiceAPI:
         )
 
     def close(self) -> None:
+        self._finalizer.shutdown()
         self.fleet_ingestor.close()
         self.streams.close()
         self.pool.close()
@@ -303,18 +309,29 @@ class ServiceAPI:
             trace, name=req.get("name") or session.name or None
         )
         session.digest = entry.digest
-        self.fleet_ingestor.enqueue(entry)
         self.metrics.count_stream_finalized()
         out: dict[str, Any] = {
             "trace": entry.to_dict(),
             "stream": session.to_dict(),
             "snapshot": snapshot,
         }
-        if req.get("analyze"):
-            result = execute("analyze", [str(entry.path)], params)
-            out["report"] = result
-            with session.alock:
-                out["reconciliation"] = session.analyzer.reconcile(result)
+        report = None
+        try:
+            if req.get("analyze"):
+                report = self._finalizer.submit(
+                    execute, "analyze", [str(entry.path)], params
+                ).result()
+                out["report"] = report
+                with session.alock:
+                    out["reconciliation"] = session.analyzer.reconcile(report)
+        finally:
+            # Hand fleet ingest the report just computed instead of a second
+            # analysis of the same trace -- but only a validated one, since
+            # fleet ingest must never observe a malformed trace.
+            validated = bool(params.get("validate", True))
+            self.fleet_ingestor.enqueue(
+                entry, report=report if validated else None, meta=trace.meta
+            )
         return out
 
     # -- job orchestration ----------------------------------------------------
@@ -341,6 +358,11 @@ class ServiceAPI:
         if fleet_kind:
             params = {**params}
             params.setdefault("state_dir", str(self.data_dir / "fleet"))
+        elif kind == "compare":
+            # Spell out the validate default, so a compare's cache key (and
+            # ring owner) never matches a result cached by a server that
+            # compared unvalidated traces by default.
+            params = {"validate": True, **params}
 
         spec = JobSpec(kind=kind, digests=tuple(digests), params=params)
 

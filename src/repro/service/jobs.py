@@ -310,7 +310,7 @@ def _exec_compare(paths: list[str], params: dict) -> dict:
     from repro.core.compare import compare_analyses
     from repro.trace.reader import read_trace
 
-    validate = bool(params.get("validate", False))
+    validate = bool(params.get("validate", True))
     before = analyze(read_trace(paths[0]), validate=validate)
     after = analyze(read_trace(paths[1]), validate=validate)
     return compare_analyses(before, after).to_dict()

@@ -37,7 +37,7 @@ def render_svg(
 ) -> str:
     """Render the execution as an SVG string."""
     if analysis is None:
-        analysis = analyze(trace, validate=False)
+        analysis = analyze(trace)
     duration = trace.duration
     if duration <= 0:
         return '<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10"/>'

@@ -33,7 +33,7 @@ def render_timeline(
 ) -> str:
     """Render the execution as an ASCII Gantt chart with CP overlay."""
     if analysis is None:
-        analysis = analyze(trace, validate=False)
+        analysis = analyze(trace)
     duration = trace.duration
     if duration <= 0 or width < 2:
         return "(empty trace)"

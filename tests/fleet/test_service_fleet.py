@@ -151,11 +151,32 @@ def test_metrics_expose_fleet_counters(api, tmp_path):
     assert fleet["ingest_latency"]["count"] == 1
 
 
-def test_stream_finalize_feeds_fleet(api, tmp_path):
+def _without_row(trace, row):
+    """``trace`` with record ``row`` dropped: a malformed trace."""
+    import numpy as np
+
+    from repro.trace.trace import Trace
+
+    return Trace(
+        records=np.delete(trace.records, row),
+        objects=dict(trace.objects),
+        threads=dict(trace.threads),
+        meta=dict(trace.meta),
+    )
+
+
+def _finalize_stream(api, monkeypatch, trace, analyze, params=None):
+    """Stream ``trace``, finalize it, wait for fleet ingest; returns the
+    finalize payload and how many times ``analyze`` ran."""
+    import repro.core.analyzer
     from repro.trace.framing import encode_records_frame
     from repro.trace.writer import header_dict
 
-    trace = make_micro_program().run().trace
+    calls = []
+    real = repro.core.analyzer.analyze
+    monkeypatch.setattr(
+        repro.core.analyzer, "analyze", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
     status, session = api.handle(
         "POST", "/streams", json.dumps({"name": "micro"}).encode(), {}
     )
@@ -163,16 +184,53 @@ def test_stream_finalize_feeds_fleet(api, tmp_path):
     body = encode_records_frame(trace.records, 0)
     status, _ = api.handle("POST", f"/traces/{sid}/chunks", body, {})
     assert status == 202
+    req = {"header": header_dict(trace), "analyze": analyze, "params": params or {}}
     status, out = api.handle(
-        "POST",
-        f"/traces/{sid}/finalize",
-        json.dumps({"header": header_dict(trace)}).encode(),
-        {},
+        "POST", f"/traces/{sid}/finalize", json.dumps(req).encode(), {}
     )
     assert status == 200
     assert api.flush_fleet(timeout=30)
+    return out, len(calls)
+
+
+def _assert_fleet_saw_micro(api):
     status, summary = api.handle("GET", "/fleet/summary", b"", {})
     assert summary["traces"] == 1
+    assert summary["top"][0]["site"] == "L2"
+
+
+def test_stream_finalize_feeds_fleet(api, monkeypatch):
+    trace = make_micro_program().run().trace
+    out, analyses = _finalize_stream(api, monkeypatch, trace, analyze=False)
+    assert "report" not in out
+    assert analyses == 1
+    _assert_fleet_saw_micro(api)
+
+
+def test_analyzed_finalize_feeds_fleet_without_reanalysis(api, monkeypatch):
+    """Fleet ingest reuses the report of ``finalize(analyze=True)``
+    instead of analyzing the same trace a second time."""
+    trace = make_micro_program().run().trace
+    out, analyses = _finalize_stream(api, monkeypatch, trace, analyze=True)
+    assert "report" in out
+    assert analyses == 1
+    _assert_fleet_saw_micro(api)
+
+
+def test_unvalidated_finalize_report_is_not_observed(api, monkeypatch):
+    """A finalize report computed with ``validate: false`` is not handed
+    to fleet ingest: fleet validates the trace itself and rejects it."""
+    # Without T0's THREAD_START the trace is invalid, yet an unvalidated
+    # analysis still produces a report.
+    bad = _without_row(make_micro_program().run().trace, 0)
+    out, analyses = _finalize_stream(
+        api, monkeypatch, bad, analyze=True, params={"validate": False}
+    )
+    assert "report" in out  # the caller asked for an unvalidated analysis
+    assert analyses == 2
+    assert api.metrics.fleet_errors == 1
+    status, summary = api.handle("GET", "/fleet/summary", b"", {})
+    assert summary["traces"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +277,26 @@ def test_http_dashboard_and_sse(server, client, tmp_path):
     assert client.fleet_ingest()["observed"] == 0  # already ingested
     fleet = client.metrics()["fleet"]
     assert fleet["sse_clients"] >= 1
+
+
+def test_invalid_upload_is_logged_and_skipped(api, tmp_path, caplog):
+    """Fleet ingest validates every upload: a malformed trace is logged
+    and counted as an error, and the ingest thread keeps going."""
+    import numpy as np
+
+    from repro.trace.events import EventType
+
+    trace = make_micro_program().run().trace
+    release = int(np.flatnonzero(trace.records["etype"] == int(EventType.RELEASE))[0])
+    bad = _without_row(trace, release)
+    path = write_trace(bad, tmp_path / "bad.clt")
+    with caplog.at_level("WARNING", logger="repro.fleet"):
+        status, _ = api.handle("POST", "/traces", path.read_bytes(), {"name": "micro"})
+        assert status == 201
+        assert api.flush_fleet(timeout=30)
+    assert api.metrics.fleet_errors == 1
+    assert any("invalid trace" in r.getMessage() for r in caplog.records)
+    _upload_micro(api, tmp_path)
+    assert api.flush_fleet(timeout=30)
+    status, summary = api.handle("GET", "/fleet/summary", b"", {})
+    assert summary["traces"] == 1

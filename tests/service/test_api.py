@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.analyzer import analyze
 from repro.service import ServiceAPI
+from repro.service.jobs import JobSpec
 from repro.trace import trace_digest, write_trace
 
 
@@ -90,6 +91,18 @@ class TestJobs:
             api, {"kind": "analyze", "trace": entry["digest"], "params": {"top": 5}}
         )
         assert not job["cached"]
+
+    def test_compare_cache_key_spells_out_validation(self, api, micro_bytes):
+        """A compare's key carries its ``validate`` default, so a result
+        cached under the bare params by a server that did not validate
+        compares by default never answers a default request."""
+        _, entry = api.handle("POST", "/traces", micro_bytes)
+        traces = [entry["digest"]] * 2
+        assert not submit(api, {"kind": "compare", "traces": traces})["cached"]
+        explicit = {"kind": "compare", "traces": traces, "params": {"validate": True}}
+        assert submit(api, explicit)["cached"]
+        bare_key = JobSpec("compare", tuple(traces), {}).cache_key()
+        assert api.cache.get(bare_key) is None
 
     def test_job_against_unknown_trace_404(self, api):
         status, err = api.handle(

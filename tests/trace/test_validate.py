@@ -1,12 +1,22 @@
-"""Each class of trace malformation must be detected, and valid traces pass."""
+"""Each class of trace malformation must be detected, and valid traces pass.
 
+The validator runs on every default ``analyze``, so it also has a cost
+contract: on a realistic trace it must stay columnar (no per-event
+Python objects) and peak below the analysis it guards.
+"""
+
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from repro.core.analyzer import analyze
 from repro.errors import TraceValidationError
 from repro.trace.builder import TraceBuilder
 from repro.trace.events import Event, EventType, ObjectKind
 from repro.trace.trace import ObjectInfo, Trace
 from repro.trace.validate import trace_problems, validate_trace
+from repro.workloads import get_workload
 
 
 def test_valid_micro_trace_passes(micro_trace):
@@ -195,9 +205,84 @@ class TestJoinChecks:
         assert any("never exited" in p for p in trace_problems(trace))
 
 
+def test_unknown_event_type_is_a_problem(micro_trace):
+    """A corrupt type byte (a .clt record is not checked on read) is
+    reported as a problem, not raised as a ValueError from EventType."""
+    records = micro_trace.records.copy()
+    records["etype"][3] = 99
+    t = Trace(records=records, objects=dict(micro_trace.objects))
+    seq = int(records["seq"][3])
+    assert trace_problems(t) == [f"seq {seq}: unknown event type 99"]
+    with pytest.raises(TraceValidationError):
+        analyze(t)
+
+
 def test_validation_error_lists_problems():
     t = _trace([Event(seq=0, time=0.0, tid=0, etype=EventType.THREAD_START)])
     with pytest.raises(TraceValidationError) as exc_info:
         validate_trace(t)
     assert exc_info.value.problems
     assert "invalid trace" in str(exc_info.value)
+
+
+@pytest.fixture(scope="module")
+def radiosity_41k():
+    """~41k events of task queues, barriers and condition variables (the
+    benchmark's 198k-event Radiosity shape, scaled to the test budget)."""
+    trace = get_workload("radiosity")(total_tasks=400).run(nthreads=8, seed=0).trace
+    assert len(trace) >= 40_000
+    return trace
+
+
+def _traced_peak(fn) -> int:
+    fn()  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_validation_peaks_below_analysis(radiosity_41k):
+    trace = radiosity_41k
+    validate_peak = _traced_peak(lambda: trace_problems(trace))
+    analyze_peak = _traced_peak(lambda: analyze(trace, validate=False))
+    assert validate_peak <= analyze_peak, (validate_peak, analyze_peak)
+
+
+def test_validation_builds_no_per_event_objects(radiosity_41k, monkeypatch):
+    """Neither a valid trace nor one with problems may be walked event
+    by event: row access and ``Event`` construction are booby-trapped,
+    and tracemalloc charges nothing to the per-event modules."""
+    trace = radiosity_41k
+    rows = np.flatnonzero(trace.records["etype"] == int(EventType.RELEASE))
+    broken = Trace(
+        records=np.delete(trace.records, rows[::50]),
+        objects=dict(trace.objects),
+        threads=dict(trace.threads),
+    )
+
+    def per_event(*args, **kwargs):
+        raise AssertionError("validator touched the trace event by event")
+
+    monkeypatch.setattr(Trace, "__iter__", per_event)
+    monkeypatch.setattr(Trace, "__getitem__", per_event)
+    monkeypatch.setattr("repro.trace.schema.event_from_row", per_event)
+    assert trace_problems(trace) == []
+    assert len(trace_problems(broken)) >= len(rows[::50])
+
+    per_event_files = ("trace/schema.py", "trace/events.py")
+    tracemalloc.start()
+    try:
+        trace_problems(trace)
+        trace_problems(broken)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    offenders = [
+        stat
+        for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.replace("\\", "/").endswith(per_event_files)
+    ]
+    assert not offenders, offenders
