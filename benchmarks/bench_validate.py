@@ -15,6 +15,9 @@ after a warm-up:
 * ``analyze_novalidate_s`` — median of ``analyze(validate=False)``;
 * ``ratio`` — the first over the second (asserted ``<= --max-ratio``);
 * the tracemalloc peak of each, in MB;
+* ``stages_s`` — median and quartiles of each default pipeline stage
+  (validate, wakers, timelines, walk, metrics) timed one after another,
+  so a change's saving can be placed stage by stage;
 * the mutant agreement count: seeded single-row mutants of the same
   trace (``repro.check.mutate``) on which the columnar validator must
   return exactly the per-event reference's problem list (asserted).
@@ -39,6 +42,13 @@ import numpy as np
 from repro.check.mutate import single_row_mutants
 from repro.check.refvalidate import reference_trace_problems
 from repro.core.analyzer import analyze
+from repro.core.columnar import (
+    build_timelines_columnar,
+    compute_metrics_columnar,
+    compute_thread_stats_columnar,
+    resolve_wakers_columnar,
+)
+from repro.core.columnar.walk import compute_critical_path_columnar
 from repro.trace.validate import trace_problems
 from repro.workloads import get_workload
 
@@ -50,12 +60,30 @@ SHAPES = {
 }
 SEED = 0  # simulator and mutant seed
 MUTANTS = 8  # each costs one per-event reference validation
+STAGES = ("validate", "wakers", "timelines", "walk", "metrics")
 
 
 def _quartiles(xs: list[float]) -> dict:
     q1, med, q3 = np.percentile(xs, [25, 50, 75])
     return {"median": round(float(med), 4), "q1": round(float(q1), 4),
             "q3": round(float(q3), 4)}
+
+
+def _stage_times(trace) -> list[float]:
+    """One pass of the default ``analyze`` pipeline, timed per stage."""
+    marks = [time.perf_counter()]
+    trace_problems(trace)
+    marks.append(time.perf_counter())
+    cw = resolve_wakers_columnar(trace)
+    marks.append(time.perf_counter())
+    ct = build_timelines_columnar(trace, cw)
+    marks.append(time.perf_counter())
+    cp = compute_critical_path_columnar(trace, ct)
+    marks.append(time.perf_counter())
+    compute_metrics_columnar(trace, ct, cp)
+    compute_thread_stats_columnar(ct, cp)
+    marks.append(time.perf_counter())
+    return np.diff(marks).tolist()
 
 
 def _peak_mb(fn) -> float:
@@ -104,6 +132,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"validate_s {validate_s:.4f}  analyze_novalidate_s {analyze_s:.4f}  "
           f"ratio {ratio:.3f}  (median of {repeats})")
     print(f"tracemalloc peak: validate {peak_val} MB, analyze {peak_ana} MB")
+    per_stage = list(zip(*(_stage_times(trace) for _ in range(repeats))))
+    stages = {name: _quartiles(list(ts)) for name, ts in zip(STAGES, per_stage)}
+    print("stages (median s): " + "  ".join(
+        f"{name} {q['median']:.4f}" for name, q in stages.items()))
 
     agree = flagged = 0
     for m in single_row_mutants(trace, MUTANTS, seed=SEED):
@@ -139,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             "analyze_novalidate_quartiles_s": _quartiles(t_ana),
             "validate_peak_mb": peak_val,
             "analyze_novalidate_peak_mb": peak_ana,
+            "stages_s": stages,
             "mutants": MUTANTS,
             "mutants_flagged": flagged,
             "mutants_agree": agree,

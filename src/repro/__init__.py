@@ -17,21 +17,22 @@ Top-level convenience imports::
     print(report.report.render())
 """
 
-from repro.core.analyzer import AnalysisResult, analyze
-from repro.replay import reconstruct
-from repro.sim import Program
-from repro.trace import Trace, TraceBuilder, read_trace, write_trace
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Program",
-    "Trace",
-    "TraceBuilder",
-    "analyze",
-    "AnalysisResult",
-    "reconstruct",
-    "read_trace",
-    "write_trace",
-    "__version__",
-]
+#: public name -> defining module, imported on first access (PEP 562) so
+#: ``import repro.cli`` does not pay for the simulator or the replay.
+_SOURCE = {
+    "Program": "repro.sim", "reconstruct": "repro.replay",
+    **dict.fromkeys(("analyze", "AnalysisResult"), "repro.core.analyzer"),
+    **dict.fromkeys(("Trace", "TraceBuilder", "read_trace", "write_trace"), "repro.trace"),
+}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_SOURCE[name]), name)

@@ -22,17 +22,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
 from repro.core.analyzer import analyze
-from repro.core.whatif import predict_shrink
 from repro.errors import ReproError
-from repro.experiments.harness import list_experiments, run_experiment
 from repro.trace.reader import read_trace
 from repro.trace.writer import write_trace
-from repro.viz.timeline import render_timeline
-from repro.workloads import available_workloads, get_workload
 
 __all__ = ["main", "build_parser"]
+
+# Subcommand-only modules (simulator, workloads, experiments, viz) are
+# imported inside their handlers, so ``repro analyze`` never loads them.
+
+
+class _ListHelp(argparse.Action):
+    """A positional whose ``help=(module, function, tail)`` lists the
+    function's names; the module is imported only when help is shown."""
+
+    @property
+    def help(self) -> str:
+        module, function, tail = self._help
+        return f"one of: {', '.join(getattr(import_module(module), function)())}{tail}"
+
+    @help.setter
+    def help(self, value) -> None:
+        self._help = value
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        setattr(namespace, self.dest, values)
 
 
 def _version_string() -> str:
@@ -55,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a workload on the simulator")
-    run_p.add_argument("workload", help=f"one of: {', '.join(available_workloads())}")
+    run_p.add_argument("workload", action=_ListHelp,
+                       help=("repro.workloads", "available_workloads", ""))
     run_p.add_argument("--threads", "-t", type=int, default=4)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--cores", type=int, default=None, help="simulated core limit")
@@ -193,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="list available protocols and schedulers, then exit")
 
     ex_p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    ex_p.add_argument(
-        "exp_id", help=f"one of: {', '.join(list_experiments())}, or 'all'"
-    )
+    ex_p.add_argument("exp_id", action=_ListHelp, help=(
+        "repro.experiments.harness", "list_experiments", ", or 'all'"))
     ex_p.add_argument("--output", "-o", help="also append the tables to this file")
 
     chk_p = sub.add_parser(
@@ -351,6 +368,8 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.workloads import get_workload
+
     cls = get_workload(args.workload)
     wl = cls(**_parse_params(args.param))
     result = wl.run(nthreads=args.threads, seed=args.seed, cores=args.cores)
@@ -404,6 +423,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             print()
             print(est.render(args.top))
     if args.timeline:
+        from repro.viz.timeline import render_timeline
+
         print()
         print(render_timeline(trace, analysis))
     if args.chart:
@@ -563,11 +584,15 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         raise ReproError(
             "whatif needs a lock name (shrink mode) or --protocol/--scheduler"
         )
+    from repro.core.whatif import predict_shrink
+
     print(predict_shrink(trace, args.lock, factor=args.factor))
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.harness import list_experiments, run_experiment
+
     ids = list_experiments() if args.exp_id == "all" else [args.exp_id]
     sink = open(args.output, "a", encoding="utf-8") if args.output else None
     try:
@@ -785,6 +810,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from repro.experiments.harness import list_experiments
+    from repro.workloads import available_workloads
+
     print("workloads:")
     for name in available_workloads():
         print(f"  {name}")

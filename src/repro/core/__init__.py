@@ -22,28 +22,13 @@ modules listed above, and the vectorized numpy twins in
 see ``docs/algorithm.md``).
 """
 
-from repro.core.analyzer import ENGINES, AnalysisResult, analyze
-from repro.core.columnar import (
-    ColumnarTimelines,
-    ColumnarWakers,
-    backward_walk_columnar,
-    build_timelines_columnar,
-    resolve_wakers_columnar,
-)
-from repro.core.attribution import LockAttribution, attribute_lock
-from repro.core.blame import BlameReport, compute_blame
-from repro.core.compare import ComparisonReport, compare_analyses
-from repro.core.critical_path import CriticalPath, compute_critical_path
-from repro.core.dag import EventGraph, build_event_graph
-from repro.core.estimate import EstimatedReport, LockEstimate, estimate_report
-from repro.core.eyerman import CriticalSectionModel, eyerman_speedup, fit_model
+from importlib import import_module
+
+# A submodule named like its own function is imported here: a later first
+# import of it would rebind the package attribute to the module.  The
+# rest load on first access (PEP 562), so ``repro analyze`` does not
+# import the whole toolbox.
 from repro.core.forecast import ScalabilityForecast, forecast
-from repro.core.lockorder import LockOrderGraph, build_lock_order
-from repro.core.online import OnlineAnalyzer
-from repro.core.planner import OptimizationPlan, plan_optimizations
-from repro.core.metrics import LockMetrics, compute_metrics
-from repro.core.model import CPPiece, HoldInterval, ThreadTimeline, Wait, WaitKind
-from repro.core.phases import PhaseReport, split_phases
 from repro.core.replay_whatif import (
     LockDelta,
     ProtocolForecast,
@@ -51,61 +36,48 @@ from repro.core.replay_whatif import (
     replay_identity,
     replay_whatif,
 )
-from repro.core.report import AnalysisReport
-from repro.core.segments import build_timelines
-from repro.core.whatif import WhatIfResult, predict_shrink
-from repro.core.windows import WindowedCriticality, windowed_criticality
+
+#: public name -> defining submodule
+_SOURCE = {
+    name: f"repro.core.{module}"
+    for module, names in {
+        "analyzer": "ENGINES AnalysisResult analyze",
+        "columnar": "ColumnarTimelines ColumnarWakers backward_walk_columnar "
+        "build_timelines_columnar resolve_wakers_columnar",
+        "attribution": "LockAttribution attribute_lock",
+        "blame": "BlameReport compute_blame",
+        "compare": "ComparisonReport compare_analyses",
+        "critical_path": "CriticalPath compute_critical_path",
+        "dag": "EventGraph build_event_graph",
+        "estimate": "EstimatedReport LockEstimate estimate_report",
+        "eyerman": "CriticalSectionModel eyerman_speedup fit_model",
+        "lockorder": "LockOrderGraph build_lock_order",
+        "online": "OnlineAnalyzer",
+        "planner": "OptimizationPlan plan_optimizations",
+        "metrics": "LockMetrics compute_metrics",
+        "model": "CPPiece HoldInterval ThreadTimeline Wait WaitKind",
+        "phases": "PhaseReport split_phases",
+        "report": "AnalysisReport",
+        "segments": "build_timelines",
+        "whatif": "WhatIfResult predict_shrink",
+        "windows": "WindowedCriticality windowed_criticality",
+    }.items()
+    for name in names.split()
+}
 
 __all__ = [
-    "analyze",
-    "AnalysisResult",
-    "AnalysisReport",
-    "ColumnarTimelines",
-    "ColumnarWakers",
-    "ENGINES",
-    "BlameReport",
-    "LockAttribution",
-    "ComparisonReport",
-    "CriticalPath",
-    "CriticalSectionModel",
-    "CPPiece",
-    "EstimatedReport",
-    "EventGraph",
-    "HoldInterval",
+    *_SOURCE,
     "LockDelta",
-    "LockEstimate",
-    "LockMetrics",
-    "LockOrderGraph",
-    "OnlineAnalyzer",
-    "OptimizationPlan",
     "ProtocolForecast",
     "ScalabilityForecast",
-    "PhaseReport",
-    "ThreadTimeline",
-    "Wait",
-    "WaitKind",
-    "WhatIfResult",
-    "WindowedCriticality",
-    "attribute_lock",
-    "backward_walk_columnar",
-    "build_event_graph",
-    "build_lock_order",
-    "build_timelines",
-    "build_timelines_columnar",
-    "resolve_wakers_columnar",
-    "compare_analyses",
-    "compute_blame",
-    "compute_critical_path",
-    "compute_metrics",
-    "estimate_report",
-    "eyerman_speedup",
-    "fit_model",
     "forecast",
     "forecast_matrix",
-    "plan_optimizations",
-    "predict_shrink",
     "replay_identity",
     "replay_whatif",
-    "split_phases",
-    "windowed_criticality",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_SOURCE[name]), name)

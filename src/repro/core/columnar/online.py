@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arrayops import latest_prior
+from repro.arrayops import dense_keys
 from repro.trace.events import EventType
 
 __all__ = ["consume_lock_batch"]
@@ -33,7 +33,6 @@ def _batch_sum(values: np.ndarray) -> float:
 
 
 def _slot_batch(
-    pos: np.ndarray,
     tid: np.ndarray,
     time: np.ndarray,
     setters: np.ndarray,
@@ -42,48 +41,36 @@ def _slot_batch(
 ) -> np.ndarray:
     """Replay a per-tid pop-on-get slot dict over one lock's rows.
 
-    Returns each getter's popped value (default: its own time).  A
-    getter sees an in-batch setter iff the latest prior setter of its
-    tid is more recent than the latest prior getter (getters always
-    pop); with neither in the batch, the slot still holds whatever
-    ``carry`` brought in from earlier batches.  ``carry`` is updated in
-    place to the post-batch slot state.
+    Returns each getter's popped value (default: its own time).  Getters
+    always pop, so a getter sees an in-batch value iff the row before it
+    of its tid (setters and getters in position order) is a setter; a
+    tid's first row in the batch sees whatever ``carry`` brought in from
+    earlier batches.  ``carry`` is updated in place to the post-batch
+    slot state: set by a tid's last row if that is a setter, emptied if
+    it is a getter.
     """
+    ns = len(setters)
+    rows = np.concatenate([setters, getters])
+    if len(rows) == 0:
+        return time[getters]
+    order = np.argsort(dense_keys(tid[rows], rows))
+    t_s = tid[rows[order]]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = t_s[1:] != t_s[:-1]
+    prev = np.full(len(rows), -1, dtype=np.int64)
+    prev[order[~first]] = order[np.flatnonzero(~first) - 1]
+    prev = prev[ns:]
     values = time[getters].copy()
-    if len(getters) == 0:
-        # No pops: in-batch setters still land in the carried slots.
-        for p in setters:
-            carry[int(tid[p])] = float(time[p])
-        return values
-    # latest_prior returns row *positions* (elements of its marker_pos
-    # argument), -1 where no prior marker exists.
-    if len(setters):
-        s_pos = latest_prior(setters, tid[setters], getters, tid[getters])
-    else:
-        s_pos = np.full(len(getters), -1, dtype=np.int64)
-    g_pos = latest_prior(getters, tid[getters], getters, tid[getters])
-    from_batch = s_pos > g_pos  # -1 sentinels make the comparison safe
-    if np.any(from_batch):
-        values[from_batch] = time[s_pos[from_batch]]
-    for q in np.flatnonzero((s_pos < 0) & (g_pos < 0)):
-        got = carry.get(int(tid[getters[q]]))
-        if got is not None:
-            values[q] = got
-
-    # Post-batch slot state per tid: the last setter survives iff no
-    # getter follows it; any getter at all empties the slot first.
-    last_set: dict[int, float] = {}
-    last_set_pos: dict[int, int] = {}
-    for p in setters:
-        last_set[int(tid[p])] = float(time[p])
-        last_set_pos[int(tid[p])] = int(p)
-    for p in getters:
-        t = int(tid[p])
-        if last_set_pos.get(t, -1) < int(p):
-            carry.pop(t, None)
-            last_set.pop(t, None)
-            last_set_pos.pop(t, None)
-    carry.update(last_set)
+    hit = (prev >= 0) & (prev < ns)
+    values[hit] = time[setters[prev[hit]]]
+    for q in np.flatnonzero(prev < 0):
+        values[q] = carry.get(int(tid[getters[q]]), values[q])
+    last = order[np.append(np.flatnonzero(first)[1:], len(rows)) - 1]
+    for i in last.tolist():
+        if i < ns:
+            carry[int(tid[setters[i]])] = float(time[setters[i]])
+        else:
+            carry.pop(int(tid[getters[i - ns]]), None)
     return values
 
 
@@ -100,8 +87,8 @@ def consume_lock_batch(ls, etype, tid, time, arg) -> None:
     obtains = pos[etype == _OBTAIN]
     releases = pos[etype == _RELEASE]
 
-    acq_vals = _slot_batch(pos, tid, time, acquires, obtains, ls._pending_acquire)
-    start_vals = _slot_batch(pos, tid, time, obtains, releases, ls._obtain_time)
+    acq_vals = _slot_batch(tid, time, acquires, obtains, ls._pending_acquire)
+    start_vals = _slot_batch(tid, time, obtains, releases, ls._obtain_time)
 
     contended = arg[obtains] != 0
     ls.invocations += len(obtains)

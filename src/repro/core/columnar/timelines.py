@@ -4,10 +4,10 @@ The object engine walks each thread's events with five little dicts
 (pending acquire/barrier/cond/join slots and per-lock hold stacks).
 Here each dict becomes one vectorized pass:
 
-* every "pending X" slot is two :func:`~repro.arrayops.
-  latest_prior` queries — a slot holds a value iff the latest prior
-  setter (ACQUIRE, BARRIER_ARRIVE, COND_BLOCK, JOIN_BEGIN) is more
-  recent than the latest prior getter (which always pops);
+* every "pending X" slot is one sort of its setter (ACQUIRE,
+  BARRIER_ARRIVE, COND_BLOCK, JOIN_BEGIN) and getter rows by (key,
+  position) — getters always pop, so a getter finds a value iff the
+  row just before it with the same key is a setter;
 * the per-``(tid, lock)`` hold stacks are one
   :func:`~repro.arrayops.lifo_match` parenthesis matching;
 * waits and holds end up as flat parallel arrays with per-thread /
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arrayops import dense_keys, group_bounds, latest_prior, lifo_match
+from repro.arrayops import dense_keys, group_bounds, lex_order, lifo_match
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.model import HoldInterval, ThreadTimeline, Wait, WaitKind
 from repro.errors import AnalysisError
@@ -158,31 +158,21 @@ class ColumnarTimelines:
         ct.create_seq = np.array([span[t][5] for t in tids], dtype=np.int64)
         ct.hold_obj_order = obj_order
 
-        for name in (
-            "w_tid", "w_kind", "w_obj", "w_start", "w_end", "w_wake_seq",
-            "w_waker_tid", "w_waker_time", "w_waker_seq",
-        ):
-            setattr(ct, name, np.concatenate([getattr(p, name) for p in parts]))
-        worder = np.lexsort((ct.w_wake_seq, ct.w_tid))
-        for name in (
-            "w_tid", "w_kind", "w_obj", "w_start", "w_end", "w_wake_seq",
-            "w_waker_tid", "w_waker_time", "w_waker_seq",
-        ):
-            setattr(ct, name, getattr(ct, name)[worder])
-        ct.wait_lo, ct.wait_hi = _spans_for(ct.tids, ct.w_tid)
+        def concat_sorted(names: tuple[str, ...], n_keys: int) -> None:
+            cols = [np.concatenate([getattr(p, name) for p in parts]) for name in names]
+            order = lex_order(*cols[:n_keys])  # stable: ties keep shard order
+            for name, col in zip(names, cols):
+                setattr(ct, name, col[order])
 
-        for name in ("h_tid", "h_obj", "h_start", "h_end", "h_contended", "h_acquire"):
-            setattr(ct, name, np.concatenate([getattr(p, name) for p in parts]))
-        horder = np.lexsort((ct.h_end, ct.h_start, ct.h_obj, ct.h_tid))
-        for name in ("h_tid", "h_obj", "h_start", "h_end", "h_contended", "h_acquire"):
-            setattr(ct, name, getattr(ct, name)[horder])
-        ct.hold_groups = {}
-        if len(ct.h_tid):
-            gkey = dense_keys(ct.h_tid, ct.h_obj)
-            starts, _ = group_bounds(gkey)
-            bounds = np.append(starts, len(gkey))
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                ct.hold_groups[(int(ct.h_tid[lo]), int(ct.h_obj[lo]))] = (int(lo), int(hi))
+        concat_sorted((
+            "w_tid", "w_wake_seq", "w_kind", "w_obj", "w_start", "w_end",
+            "w_waker_tid", "w_waker_time", "w_waker_seq",
+        ), 2)
+        ct.wait_lo, ct.wait_hi = _spans_for(ct.tids, ct.w_tid)
+        concat_sorted(
+            ("h_tid", "h_obj", "h_start", "h_end", "h_contended", "h_acquire"), 4
+        )
+        ct.hold_groups = _hold_groups(ct)
         return ct
 
     # -- materialization ---------------------------------------------------
@@ -235,25 +225,28 @@ class ColumnarTimelines:
 
 
 def _slot_values(
-    pos: np.ndarray,
     key_cols: tuple[np.ndarray, ...],
     time: np.ndarray,
     setter_pos: np.ndarray,
     getter_pos: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dict-slot semantics: for each getter, the latest prior setter's
-    time — valid only if no getter popped the slot in between.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dict-slot semantics: each getter pops its key's slot, which holds
+    the previous row's time iff that row (same key) is a setter.
 
-    Returns ``(values, valid, prior_getter_pos)``; invalid slots carry
-    the getter's own time (the object engine's ``dict.pop`` default).
+    Returns per getter the popped time (its own time for an empty slot,
+    the object engine's ``dict.pop`` default) and whether no earlier
+    setter or getter has its key.
     """
-    packed = dense_keys(*(c[np.concatenate([setter_pos, getter_pos])] for c in key_cols))
-    skey, gkey = packed[: len(setter_pos)], packed[len(setter_pos):]
-    s = latest_prior(setter_pos, skey, getter_pos, gkey)
-    g = latest_prior(getter_pos, gkey, getter_pos, gkey)
-    valid = s > g  # s == -1 never wins; a consumed setter (s < g) neither
-    values = np.where(valid, time[np.maximum(s, 0)], time[getter_pos])
-    return values, valid, g
+    ns = len(setter_pos)
+    rows = np.concatenate([setter_pos, getter_pos])
+    key = dense_keys(*(c[rows] for c in key_cols))
+    order = np.argsort(dense_keys(key, rows))
+    same = key[order[1:]] == key[order[:-1]]
+    prev = np.full(len(rows), -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    prev = prev[ns:]
+    valid = (prev >= 0) & (prev < ns)
+    return np.where(valid, time[rows[np.maximum(prev, 0)]], time[getter_pos]), prev < 0
 
 
 def build_timelines_columnar(
@@ -277,7 +270,7 @@ def build_timelines_columnar(
     seq = rec["seq"].astype(np.int64)
 
     # -- per-thread spans --------------------------------------------------
-    order = np.argsort(tid, kind="stable")
+    order = lex_order(tid)
     starts, tids = group_bounds(tid[order])
     ends = np.append(starts[1:], n) - 1
     ct.tids = tids
@@ -297,31 +290,31 @@ def build_timelines_columnar(
 
     # -- pending-slot matching per wait kind -------------------------------
     obtains = np.flatnonzero(etype == _OBTAIN)
-    acq_vals, _, _ = _slot_values(
-        obtains, (tid, obj), time, np.flatnonzero(etype == _ACQUIRE), obtains
+    acq_vals, _ = _slot_values(
+        (tid, obj), time, np.flatnonzero(etype == _ACQUIRE), obtains
     )
 
     departs = np.flatnonzero(etype == _DEPART)
-    arrive_vals, arrive_valid, dep_prior_pop = _slot_values(
-        departs, (tid, obj, arg), time, np.flatnonzero(etype == _ARRIVE), departs
+    arrive_vals, dep_first = _slot_values(
+        (tid, obj, arg), time, np.flatnonzero(etype == _ARRIVE), departs
     )
     if boundary_arrivals and len(departs):
         # A seed fills the slot before the thread's first event; it is
         # consumed by the first pop, and an in-trace arrival overrides it.
-        for j in np.flatnonzero(~arrive_valid & (dep_prior_pop < 0)):
+        for j in np.flatnonzero(dep_first):
             p = departs[j]
             per_tid = boundary_arrivals.get((int(obj[p]), int(arg[p])))
             if per_tid is not None and int(tid[p]) in per_tid:
                 arrive_vals[j] = per_tid[int(tid[p])]
 
     cond_wakes = np.flatnonzero(etype == _COND_WAKE)
-    block_vals, _, _ = _slot_values(
-        cond_wakes, (tid, obj), time, np.flatnonzero(etype == _COND_BLOCK), cond_wakes
+    block_vals, _ = _slot_values(
+        (tid, obj), time, np.flatnonzero(etype == _COND_BLOCK), cond_wakes
     )
 
     join_ends = np.flatnonzero(etype == _JOIN_END)
-    begin_vals, _, _ = _slot_values(
-        join_ends, (tid, arg), time, np.flatnonzero(etype == _JOIN_BEGIN), join_ends
+    begin_vals, _ = _slot_values(
+        (tid, arg), time, np.flatnonzero(etype == _JOIN_BEGIN), join_ends
     )
 
     # -- wait rows ---------------------------------------------------------
@@ -344,7 +337,7 @@ def build_timelines_columnar(
     w_pos, w_kind, w_obj, w_start, w_end = (
         a[keep] for a in (w_pos, w_kind, w_obj, w_start, w_end)
     )
-    worder = np.lexsort((w_pos, tid[w_pos]))
+    worder = np.argsort(dense_keys(tid[w_pos], w_pos))  # positions are unique
     w_pos = w_pos[worder]
     ct.w_tid = tid[w_pos]
     ct.w_kind = w_kind[worder]
@@ -392,7 +385,7 @@ def build_timelines_columnar(
     h_tid = tid[h_pos_open]
     h_obj = obj[h_pos_open]
     h_cont = arg[h_pos_open] != 0
-    horder = np.lexsort((h_rank, h_end, h_start, h_obj, h_tid))
+    horder = lex_order(h_tid, h_obj, h_start, h_end, h_rank)
     ct.h_tid = h_tid[horder]
     ct.h_obj = h_obj[horder]
     ct.h_start = h_start[horder]
@@ -410,31 +403,30 @@ def _spans_for(tids: np.ndarray, sorted_item_tid: np.ndarray) -> tuple[np.ndarra
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
+def _hold_groups(ct: ColumnarTimelines) -> dict[tuple[int, int], tuple[int, int]]:
+    """``(tid, obj) -> [lo, hi)`` ranges of the hold columns."""
+    if len(ct.h_tid) == 0:
+        return {}
+    starts, _ = group_bounds(dense_keys(ct.h_tid, ct.h_obj))
+    b = np.append(starts, len(ct.h_tid)).tolist()
+    return {(int(ct.h_tid[lo]), int(ct.h_obj[lo])): (lo, hi) for lo, hi in zip(b, b[1:])}
+
+
 def _index_hold_groups(ct: ColumnarTimelines, sorted_rank: np.ndarray, n: int) -> None:
-    """Build (tid, obj) group ranges and the ``tl.holds`` dict key order.
+    """Build the (tid, obj) group ranges and the ``tl.holds`` key order.
 
     The object engine inserts a lock into ``tl.holds`` at its first
     RELEASE (``setdefault``) and appends leftover-only locks afterwards
     in first-OBTAIN order — reproduced via each group's minimum
     insertion rank, split on matched (< n) vs leftover (>= n) ranks.
     """
-    ct.hold_groups = {}
+    ct.hold_groups = _hold_groups(ct)
     ct.hold_obj_order = {}
-    if len(ct.h_tid) == 0:
-        return
-    gkey = dense_keys(ct.h_tid, ct.h_obj)
-    starts, _ = group_bounds(gkey)
-    bounds = np.append(starts, len(gkey))
     order_keys: dict[int, list[tuple[int, int, int]]] = {}
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        t, o = int(ct.h_tid[lo]), int(ct.h_obj[lo])
-        ct.hold_groups[(t, o)] = (int(lo), int(hi))
+    for (t, o), (lo, hi) in ct.hold_groups.items():
         ranks = sorted_rank[lo:hi]
         matched = ranks[ranks < n]
-        if len(matched):
-            key = (0, int(matched.min()))
-        else:
-            key = (1, int(ranks.min()) - n)
-        order_keys.setdefault(t, []).append((key[0], key[1], o))
+        key = (0, int(matched.min())) if len(matched) else (1, int(ranks.min()) - n)
+        order_keys.setdefault(t, []).append((*key, o))
     for t, entries in order_keys.items():
         ct.hold_obj_order[t] = [o for _, _, o in sorted(entries)]

@@ -11,8 +11,8 @@ latest_prior` query instead of a dict maintained while looping events:
   was emitted by the recorded signaller, else that thread's latest prior
   event of any type;
 * JOIN_END → the joined thread's latest prior THREAD_EXIT;
-* THREAD_CREATE → last creation per child tid (a dict overwrite in the
-  object engine, a group-max here).
+* THREAD_CREATE → last creation per child tid (a dict overwrite, as in
+  the object engine: there is one per thread).
 
 Failures raise :class:`~repro.errors.WakerResolutionError` with the same
 message the object engine produces, for the earliest failing event.
@@ -159,7 +159,7 @@ def resolve_wakers_columnar(
         )
         mkey, qkey = key[: len(m)], key[len(m):]
         if len(m):
-            order = np.lexsort((m, mkey))
+            order = np.argsort(dense_keys(mkey, m))  # positions are unique
             starts, skeys = group_bounds(mkey[order])
             # Last element of each (barrier, generation) group is its max pos.
             ends = np.append(starts[1:], len(m)) - 1
@@ -210,13 +210,8 @@ def resolve_wakers_columnar(
 
     # -- creations: last THREAD_CREATE per child tid ----------------------
     creations: dict[int, WakeInfo] = {}
-    c = np.flatnonzero(etype == _CREATE)
-    if len(c):
-        order = np.lexsort((c, arg[c]))
-        starts, _ = group_bounds(arg[c][order])
-        ends = np.append(starts[1:], len(c)) - 1
-        for p in c[order][ends]:
-            creations[int(arg[p])] = WakeInfo(int(tid[p]), float(time[p]), int(seq[p]))
+    for p in np.flatnonzero(etype == _CREATE):  # a few rows; the last one wins
+        creations[int(arg[p])] = WakeInfo(int(tid[p]), float(time[p]), int(seq[p]))
 
     return ColumnarWakers(
         waker_tid=waker_tid,

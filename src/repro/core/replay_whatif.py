@@ -26,18 +26,19 @@ invariant enforces this for every generated trace).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.analyzer import analyze
 from repro.core.report import AnalysisReport
 from repro.errors import AnalysisError
-from repro.replay import reconstruct
-from repro.sim.engine import SimResult
-from repro.sim.protocols import available_protocols, get_protocol
-from repro.sim.schedulers import available_schedulers, get_scheduler
 from repro.tables import format_table
 from repro.trace.trace import Trace
 from repro.units import format_duration, format_percent
+
+# The replay layer and the simulator are imported where they run, so
+# importing :mod:`repro.core` (as ``repro analyze`` does) skips them.
+if TYPE_CHECKING:
+    from repro.sim.engine import SimResult
 
 __all__ = [
     "LockDelta",
@@ -231,6 +232,10 @@ def replay_whatif(
         Pass a precomputed baseline report to amortize analysis across a
         forecast matrix.
     """
+    from repro.replay import reconstruct
+    from repro.sim.protocols import get_protocol
+    from repro.sim.schedulers import get_scheduler
+
     params = dict(protocol_params or {})
     if protocol == "recorded":
         proto: Any = "recorded"  # built by the replay layer from the trace
@@ -304,6 +309,8 @@ def replay_identity(trace: Trace) -> SimResult:
     Uses the trace's own core count and seed and preserves its name, so
     a faithful replay analyzes to a byte-identical report.
     """
+    from repro.replay import reconstruct
+
     prog = reconstruct(trace).build(
         cores=trace.meta.get("cores"),
         seed=trace.meta.get("seed", 0),
@@ -320,6 +327,9 @@ def forecast_matrix(
     **kwargs: Any,
 ) -> list[ProtocolForecast]:
     """Forecast every protocol x scheduler combination (shared baseline)."""
+    from repro.sim.protocols import available_protocols
+    from repro.sim.schedulers import available_schedulers
+
     if protocols is None:
         protocols = [p for p in available_protocols() if p != "recorded"]
     if schedulers is None:

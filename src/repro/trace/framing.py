@@ -198,7 +198,20 @@ def sort_stream_records(records: np.ndarray) -> np.ndarray:
     stable sort by (time, seq), then renumber ``seq`` densely — but
     vectorized, so finalizing a multi-hundred-thousand-event stream does
     not round-trip through Python ``Event`` objects.
+
+    The order is that of ``np.argsort(records, order=("time", "seq"),
+    kind="stable")`` (ties broken by the other fields in dtype order)
+    from a faster column ``lexsort``.
     """
-    out = records[np.argsort(records, order=("time", "seq"), kind="stable")]
+    time, seq = records["time"], records["seq"]
+    order = np.lexsort((seq, time))
+    # A stream usually arrives in order: then skip the (slow) gathers.
+    in_order = bool(np.all(order[1:] > order[:-1]))
+    t, s = (time, seq) if in_order else (time[order], seq[order])
+    same_t = (t[1:] == t[:-1]) | (np.isnan(t[1:]) & np.isnan(t[:-1]))
+    if np.any(same_t & (s[1:] == s[:-1])):
+        keys = [f for f in records.dtype.names if f not in ("time", "seq")][::-1]
+        order, in_order = np.lexsort([records[f] for f in [*keys, "seq", "time"]]), False
+    out = records.copy() if in_order else records[order]
     out["seq"] = np.arange(len(out), dtype=out["seq"].dtype)
     return out

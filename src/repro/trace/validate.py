@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arrayops import dense_keys, group_bounds, latest_prior, segmented_cumsum
+from repro.arrayops import dense_keys, group_bounds, latest_prior, lex_order, segmented_cumsum
 from repro.errors import TraceValidationError
 from repro.trace.events import NO_OBJECT, EventType, ObjectKind
 from repro.trace.trace import Trace
@@ -66,17 +66,13 @@ def trace_problems(trace: Trace) -> list[str]:
     return problems
 
 
-def _pack(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """One int64 key per row for a pair of int32 columns."""
-    return (hi.astype(np.int64) << 32) | (lo.astype(np.int64) & 0xFFFFFFFF)
-
-
 def _floored_counter(
-    key: np.ndarray, up: np.ndarray
+    key: np.ndarray, up: np.ndarray, order: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Replay one counter per key: +1 on ``up`` rows, else -1 floored at 0.
 
-    Rows are taken in input order.  Returns ``(level, underflow, first,
+    Rows are taken in input order; ``order`` is their stable sort by key
+    when the caller already has it.  Returns ``(level, underflow, first,
     final)``: the counter after each row, the rows whose decrement found
     it at zero (both in input order), and per key the input index of its
     first row and the counter after its last row.
@@ -85,7 +81,8 @@ def _floored_counter(
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.astype(bool), empty, empty
-    order = np.argsort(key, kind="stable")
+    if order is None:
+        order = lex_order(key)
     starts, _ = group_bounds(key[order])
     step = np.where(up[order], 1, -1).astype(np.int32)
     total = segmented_cumsum(step, starts)
@@ -133,10 +130,10 @@ def _check_thread_lifecycles(trace: Trace) -> list[str]:
         return problems
     tid = rec["tid"]
     etype = rec["etype"]
-    tids, first = np.unique(tid, return_index=True)
-    _, last_rev = np.unique(tid[::-1], return_index=True)
-    first_type = etype[first]
-    last_type = etype[len(tid) - 1 - last_rev]
+    order = lex_order(tid)
+    bounds, tids = group_bounds(tid[order])
+    first_type = etype[order[bounds]]
+    last_type = etype[order[np.append(bounds[1:], len(tid)) - 1]]
     start, exit_ = int(EventType.THREAD_START), int(EventType.THREAD_EXIT)
     starts = np.bincount(np.searchsorted(tids, tid[etype == start]), minlength=len(tids))
     exits = np.bincount(np.searchsorted(tids, tid[etype == exit_]), minlength=len(tids))
@@ -153,8 +150,8 @@ def _check_thread_lifecycles(trace: Trace) -> list[str]:
             problems.append(f"T{t}: {int(starts[i])} THREAD_START events, expected 1")
         if exits[i] != 1:
             problems.append(f"T{t}: {int(exits[i])} THREAD_EXIT events, expected 1")
-    created = np.unique(rec["arg"][etype == int(EventType.THREAD_CREATE)])
-    for child in created[~np.isin(created, tids)].tolist():
+    created = set(rec["arg"][etype == int(EventType.THREAD_CREATE)].tolist())
+    for child in sorted(created.difference(tids.tolist())):
         problems.append(f"THREAD_CREATE names T{child} which emitted no events")
     return problems
 
@@ -197,14 +194,21 @@ def _check_lock_protocol(trace: Trace) -> list[str]:
     r_type = etype[rows]
     r_obj = obj[rows]
     r_tid = rec["tid"][rows]
-    key = _pack(r_obj, r_tid)
+    key = dense_keys(r_obj, r_tid)
+    # One stable sort by key serves both counters below: a stable order
+    # stays stable when rows are masked out of it.
+    by_key = lex_order(key)
+
+    def counter(sub_mask: np.ndarray, up: np.ndarray):
+        order = (np.cumsum(sub_mask) - 1)[by_key[sub_mask[by_key]]]
+        sub = np.flatnonzero(sub_mask)
+        return (sub, *_floored_counter(key[sub], up[sub], order))
 
     def where(r: int) -> tuple[int, int, str]:
         return int(seq[r]), int(rec["tid"][r]), trace.object_name(int(obj[r]))
 
     # Pending ACQUIREs per (object, thread): ACQUIRE +1, OBTAIN -1.
-    sub = np.flatnonzero(r_type != release)
-    level, under, first, final = _floored_counter(key[sub], r_type[sub] == acquire)
+    sub, level, under, first, final = counter(r_type != release, r_type == acquire)
     for r in rows[sub[(r_type[sub] == acquire) & (level > 1)]].tolist():
         s, t, name = where(r)
         found.append((r, 0, f"seq {s}: T{t} double-ACQUIRE on {name}"))
@@ -214,13 +218,12 @@ def _check_lock_protocol(trace: Trace) -> list[str]:
     pending_left = [(int(rows[sub[i]]), n) for i, n in _open_at_end(first, final)]
 
     # Held levels per (object, thread): OBTAIN +1, RELEASE -1.
-    sub = np.flatnonzero(r_type != acquire)
-    _, under, first, final = _floored_counter(key[sub], r_type[sub] == obtain)
+    sub, _, under, first, final = counter(r_type != acquire, r_type == obtain)
     for r in rows[sub[under]].tolist():
         s, t, name = where(r)
         found.append((r, 0, f"seq {s}: T{t} RELEASE without OBTAIN on {name}"))
     held_left = [(int(rows[sub[i]]), n) for i, n in _open_at_end(first, final)]
-    del sub, level, under, first, final, key
+    del sub, level, under, first, final, key, by_key
 
     # Mutex ownership.  A RELEASE clears the owner iff it comes from the
     # thread of the latest prior OBTAIN; an OBTAIN collides iff the latest
@@ -297,7 +300,7 @@ def _check_condition_variables(trace: Trace) -> list[str]:
         return []
     seq, tid, obj, arg = rec["seq"], rec["tid"], rec["obj"], rec["arg"]
     is_block = etype[rows] == block_t
-    _, under, first, final = _floored_counter(_pack(obj[rows], tid[rows]), is_block)
+    _, under, first, final = _floored_counter(dense_keys(obj[rows], tid[rows]), is_block)
     found: _Found = []
     for r in rows[under].tolist():
         found.append((r, 0, (
@@ -305,7 +308,7 @@ def _check_condition_variables(trace: Trace) -> list[str]:
             f"{trace.object_name(int(obj[r]))}"
         )))
     wakes = rows[~is_block]
-    unknown = wakes[~np.isin(arg[wakes], np.unique(tid))]
+    unknown = wakes[~np.isin(arg[wakes], tid)]
     for r in unknown.tolist():
         found.append((r, 1, (
             f"seq {int(seq[r])}: COND_WAKE names unknown signaller T{int(arg[r])}"

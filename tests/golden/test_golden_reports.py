@@ -12,10 +12,15 @@ drift.  Regenerate after an intentional change with::
 (see CONTRIBUTING.md) and review the diff like any other code change.
 """
 
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.analyzer import ENGINES, analyze
 from repro.trace.writer import write_trace
@@ -133,6 +138,41 @@ def test_cli_analyze_matches_golden(case, tmp_path, capsys):
     # As must the object-engine escape hatch.
     assert main(["analyze", str(path), "--engine", "object"]) == 0
     assert capsys.readouterr().out == _golden(case) + "\n"
+
+
+#: Run ``python -m repro analyze <path>`` in a fresh interpreter and report
+#: its exit code, stdout and which subcommand-only packages it imported.
+_IMPORT_PROBE = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["repro", "analyze", sys.argv[1]]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_module("repro", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+heavy = ("repro.sim", "repro.replay", "repro.experiments", "repro.workloads")
+loaded = sorted(m for m in sys.modules if m.startswith(heavy))
+print(json.dumps({"code": code, "out": out.getvalue(), "loaded": loaded}))
+"""
+
+
+def test_cli_analyze_imports_no_simulator(tmp_path):
+    """``repro analyze`` needs neither the simulator, the replay layer,
+    the experiments nor the workloads: they must stay unimported."""
+    workload, params, nthreads, seed = CASES["ldap"]
+    trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
+    path = tmp_path / "ldap.clt"
+    write_trace(trace, str(path))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    fin = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    probe = json.loads(fin.stdout)
+    assert probe["code"] == 0
+    assert probe["out"] == _golden("ldap") + "\n"
+    assert probe["loaded"] == []
 
 
 @pytest.mark.parametrize("case", SAMPLED_CASES)

@@ -124,6 +124,42 @@ def test_sort_stream_records_matches_from_events(micro_trace):
     assert np.array_equal(restored, micro_trace.records)
 
 
+def _sorted_by_structured_argsort(records):
+    """The structured-array sort ``sort_stream_records`` must reproduce."""
+    out = records[np.argsort(records, order=("time", "seq"), kind="stable")]
+    out["seq"] = np.arange(len(out), dtype=out["seq"].dtype)
+    return out
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_sort_stream_records_breaks_ties_like_structured_sort(micro_trace, shuffle):
+    # Duplicated (time, seq) pairs are ordered by the remaining fields in
+    # dtype order (tid, etype, obj, arg); NaN and signed-zero times tie too.
+    rng = np.random.default_rng(1)
+    records = micro_trace.records.copy()
+    n = len(records)
+    src = rng.integers(0, n, n // 3)
+    dst = rng.integers(0, n, n // 3)
+    records["time"][dst] = records["time"][src]
+    records["seq"][dst] = records["seq"][src]
+    records["time"][dst[:5]] = np.nan
+    records["time"][dst[5:10]] = -0.0
+    records["time"][dst[10:15]] = 0.0
+    records["seq"][dst[:15]] = 3
+    if shuffle:
+        records = records[rng.permutation(n)]
+    expected = _sorted_by_structured_argsort(records)
+    assert sort_stream_records(records).tobytes() == expected.tobytes()
+
+
+def test_sort_stream_records_in_order_and_empty(micro_trace):
+    records = micro_trace.records
+    assert sort_stream_records(records).tobytes() == (
+        _sorted_by_structured_argsort(records).tobytes()
+    )
+    assert len(sort_stream_records(records[:0])) == 0
+
+
 def test_cls_container_readable(micro_trace, tmp_path):
     path = tmp_path / "t.cls"
     blocks = list(split_records(micro_trace.records, 9))
