@@ -18,6 +18,8 @@ int64 key:
   vectorized form of ``last_release[obj]`` / ``exits[tid]`` /
   ``last_event[tid]`` style lookups: one argsort by ``(key, pos,
   is_marker)`` and one ``np.maximum.accumulate`` answer every query.
+* :func:`prev_same_key` — the previous row with the same key, the
+  vectorized form of a per-key slot dict that each row reads or sets.
 * :func:`lifo_match` — parenthesis matching per key, the vectorized form
   of the per-``(tid, obj)`` ``open_holds`` stacks.  Depth levels come
   from a segmented cumsum; within one ``(key, level)`` group opens and
@@ -34,6 +36,7 @@ __all__ = [
     "latest_prior",
     "lex_order",
     "lifo_match",
+    "prev_same_key",
     "segmented_cumsum",
 ]
 
@@ -138,6 +141,19 @@ def latest_prior(
     return out
 
 
+def prev_same_key(key: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row, the index of the row just before it (in ``pos``
+    order) with the same key, or ``-1`` when it is its key's first row;
+    and the row order sorted by ``(key, pos)``.  ``pos`` must be unique.
+    """
+    key = np.asarray(key)
+    order = np.argsort(dense_keys(key, pos))
+    same = key[order[1:]] == key[order[:-1]]
+    prev = np.full(len(key), -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev, order
+
+
 def group_bounds(sorted_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start offsets and keys of each run in an already-sorted key array."""
     if len(sorted_key) == 0:
@@ -152,9 +168,14 @@ def segmented_cumsum(values: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     Only safe for *integer* values (exact arithmetic): implemented as a
     global cumsum minus the per-segment offset.
     """
+    if len(values) == 0:
+        return values.copy()
     total = np.cumsum(values)
-    before = np.concatenate([np.zeros(1, dtype=total.dtype), total])[seg_starts]
-    return total - np.repeat(before, np.diff(np.append(seg_starts, len(values))))
+    seg_lens = np.diff(np.append(seg_starts, len(values)))
+    base_vals = np.zeros(len(seg_starts), dtype=total.dtype)
+    if len(seg_starts) > 1:
+        base_vals[1:] = total[seg_starts[1:] - 1]
+    return total - np.repeat(base_vals, seg_lens)
 
 
 def lifo_match(

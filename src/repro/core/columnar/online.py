@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arrayops import dense_keys
+from repro.arrayops import prev_same_key
 from repro.trace.events import EventType
 
 __all__ = ["consume_lock_batch"]
@@ -53,19 +53,15 @@ def _slot_batch(
     rows = np.concatenate([setters, getters])
     if len(rows) == 0:
         return time[getters]
-    order = np.argsort(dense_keys(tid[rows], rows))
-    t_s = tid[rows[order]]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = t_s[1:] != t_s[:-1]
-    prev = np.full(len(rows), -1, dtype=np.int64)
-    prev[order[~first]] = order[np.flatnonzero(~first) - 1]
+    prev, order = prev_same_key(tid[rows], rows)
+    first = np.flatnonzero(prev[order] < 0)
     prev = prev[ns:]
     values = time[getters].copy()
     hit = (prev >= 0) & (prev < ns)
     values[hit] = time[setters[prev[hit]]]
     for q in np.flatnonzero(prev < 0):
         values[q] = carry.get(int(tid[getters[q]]), values[q])
-    last = order[np.append(np.flatnonzero(first)[1:], len(rows)) - 1]
+    last = order[np.append(first[1:], len(rows)) - 1]
     for i in last.tolist():
         if i < ns:
             carry[int(tid[setters[i]])] = float(time[setters[i]])

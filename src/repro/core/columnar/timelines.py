@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.arrayops import dense_keys, group_bounds, lex_order, lifo_match
+from repro.arrayops import dense_keys, group_bounds, lex_order, lifo_match, prev_same_key
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.model import HoldInterval, ThreadTimeline, Wait, WaitKind
 from repro.errors import AnalysisError
@@ -239,12 +239,7 @@ def _slot_values(
     """
     ns = len(setter_pos)
     rows = np.concatenate([setter_pos, getter_pos])
-    key = dense_keys(*(c[rows] for c in key_cols))
-    order = np.argsort(dense_keys(key, rows))
-    same = key[order[1:]] == key[order[:-1]]
-    prev = np.full(len(rows), -1, dtype=np.int64)
-    prev[order[1:][same]] = order[:-1][same]
-    prev = prev[ns:]
+    prev = prev_same_key(dense_keys(*(c[rows] for c in key_cols)), rows)[0][ns:]
     valid = (prev >= 0) & (prev < ns)
     return np.where(valid, time[rows[np.maximum(prev, 0)]], time[getter_pos]), prev < 0
 

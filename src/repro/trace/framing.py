@@ -205,13 +205,11 @@ def sort_stream_records(records: np.ndarray) -> np.ndarray:
     """
     time, seq = records["time"], records["seq"]
     order = np.lexsort((seq, time))
-    # A stream usually arrives in order: then skip the (slow) gathers.
-    in_order = bool(np.all(order[1:] > order[:-1]))
-    t, s = (time, seq) if in_order else (time[order], seq[order])
+    t, s = time[order], seq[order]
     same_t = (t[1:] == t[:-1]) | (np.isnan(t[1:]) & np.isnan(t[:-1]))
     if np.any(same_t & (s[1:] == s[:-1])):
         keys = [f for f in records.dtype.names if f not in ("time", "seq")][::-1]
-        order, in_order = np.lexsort([records[f] for f in [*keys, "seq", "time"]]), False
-    out = records.copy() if in_order else records[order]
+        order = np.lexsort([records[f] for f in [*keys, "seq", "time"]])
+    out = records[order]
     out["seq"] = np.arange(len(out), dtype=out["seq"].dtype)
     return out

@@ -16,6 +16,7 @@ from repro.arrayops import (
     latest_prior,
     lex_order,
     lifo_match,
+    prev_same_key,
     segmented_cumsum,
 )
 
@@ -179,6 +180,20 @@ def test_lifo_match_pop_on_empty_stack():
     assert (close_for_open[[1, 3, 4]] == -1).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(key_columns(max_cols=1), st.randoms(use_true_random=False))
+def test_prev_same_key_matches_slot_dict(cols, rnd):
+    key = cols[0]
+    pos = np.array(rnd.sample(range(-50, 50), len(key)), dtype=np.int64)
+    prev, order = prev_same_key(key, pos)
+    last, expected = {}, [-1] * len(key)
+    for i in sorted(range(len(key)), key=lambda i: pos[i]):
+        expected[i] = last.get(int(key[i]), -1)
+        last[int(key[i])] = i
+    assert prev.tolist() == expected
+    assert order.tolist() == sorted(range(len(key)), key=lambda i: (int(key[i]), pos[i]))
+
+
 @st.composite
 def sorted_runs(draw):
     keys = draw(st.lists(st.integers(-5, 5), max_size=30))
@@ -221,6 +236,7 @@ def test_empty_inputs():
     assert latest_prior(np.array([1]), np.array([0]), empty, empty).tolist() == []
     assert latest_prior(empty, empty, np.array([1]), np.array([0])).tolist() == [-1]
     assert [a.tolist() for a in lifo_match(empty, empty, empty.astype(bool))] == [[], []]
+    assert [a.tolist() for a in prev_same_key(empty, empty)] == [[], []]
     starts, keys = group_bounds(empty)
     assert starts.tolist() == [] and keys.tolist() == []
     assert segmented_cumsum(empty, starts).tolist() == []
