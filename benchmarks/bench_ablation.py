@@ -11,13 +11,18 @@
 import pytest
 
 from repro.core.analyzer import analyze
-from repro.core.critical_path import compute_critical_path
+from repro.core.columnar import build_timelines_columnar
+from repro.core.columnar.walk import compute_critical_path_columnar
 from repro.core.dag import build_event_graph
 from repro.core.whatif import predict_shrink
 from repro.tables import format_table
 from repro.workloads import MicroBenchmark, Radiosity, TSP
 
 from conftest import run_once
+
+
+def compute_critical_path(trace):
+    return compute_critical_path_columnar(trace, build_timelines_columnar(trace))
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ analysis pipeline and trace I/O, so regressions in the tool are visible.
 import pytest
 
 from repro.core.analyzer import analyze
-from repro.core.segments import build_timelines
+from repro.core.columnar import build_timelines_columnar
 from repro.trace.reader import read_trace
 from repro.trace.writer import write_trace
 from repro.workloads import Radiosity, SyntheticLocks
@@ -35,8 +35,8 @@ def test_full_analysis(benchmark, big_trace):
 
 @pytest.mark.benchmark(group="tool-analysis")
 def test_timeline_construction(benchmark, big_trace):
-    timelines = benchmark(build_timelines, big_trace)
-    assert len(timelines) == 16
+    timelines = benchmark(build_timelines_columnar, big_trace)
+    assert len(timelines.tids) == 16
 
 
 @pytest.mark.benchmark(group="tool-io")

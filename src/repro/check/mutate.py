@@ -4,7 +4,8 @@ Each mutant changes exactly one record of a valid trace in one of four
 ways — drop the row, re-type it, re-tid it, re-object it — the shapes a
 lossy or buggy tracer produces.  ``validator-equiv`` runs both
 validators on every mutant; ``malformed-rejected`` demands that every
-mutant the reference flags is refused by the default ``analyze``.
+mutant the reference flags is refused by the default ``analyze`` and by
+the DAG what-if.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The differential oracle: every invariant a correct analysis satisfies.
 
 ``check_trace`` runs a trace through both critical-path formulations —
-the backward walk (:func:`compute_critical_path`) and the forward event
-DAG (:class:`EventGraph`) — plus the metric, online and serialization
+the backward walk (:func:`~repro.core.analyzer.analyze`) and the forward
+event DAG (:class:`EventGraph`) — plus the metric, online and serialization
 layers, and returns one :class:`Discrepancy` per violated invariant
 (empty list = clean).  Invariant ids (see ``docs/check.md``):
 
@@ -21,16 +21,12 @@ layers, and returns one :class:`Discrepancy` per violated invariant
 ``roundtrip``      trace → .clt/.jsonl → trace is lossless
 ``truncated``      the prefix cut before the first THREAD_EXIT still
                    analyzes, with completion == truncated duration
-``shard-equiv``    sharded analysis (split at quiescent cut points,
-                   stitched back) is *bit-identical* to the sequential
-                   pass: same pieces, junctions, completion time,
-                   per-lock CP time % and contention probability, and
-                   byte-equal rendered report
-``engine-equiv``   the columnar (numpy) engine and the per-event object
-                   engine produce *bit-identical* results: critical-path
+``engine-equiv``   ``analyze`` (the columnar engine) and the per-event
+                   reference pipeline (:mod:`repro.check.refengine`)
+                   produce *bit-identical* results: critical-path
                    pieces/junctions/waits, report dict, byte-equal
-                   render, identical reconstructed timelines — and
-                   neither engine emits a zero-duration Wait
+                   render, identical timelines and waker tables — and
+                   neither emits a zero-duration Wait
 ``replay-identity`` reconstructing the trace into a schedulable program
                    and re-running it under the ``recorded`` identity
                    protocol reproduces the baseline completion time and
@@ -48,8 +44,8 @@ layers, and returns one :class:`Discrepancy` per violated invariant
                    seeded single-row mutants of it (drop, re-type,
                    re-tid, re-object)
 ``malformed-rejected`` every mutant the reference flags makes the
-                   default ``analyze`` raise ``TraceValidationError``;
-                   it never yields a report
+                   default ``analyze`` and ``predict_shrink`` raise
+                   ``TraceValidationError``; neither yields an answer
 ``analysis-error`` the pipeline raised instead of producing a result
 """
 
@@ -63,9 +59,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.check.mutate import single_row_mutants
+from repro.check.refengine import reference_analyze
 from repro.check.refvalidate import reference_trace_problems
 from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
+from repro.core.whatif import predict_shrink
 from repro.errors import ReproError, TraceValidationError
 from repro.trace.events import EventType, ObjectKind
 from repro.trace.reader import read_trace
@@ -216,9 +214,6 @@ def check_trace(trace: Trace, has_nested_holds: bool = True) -> list[Discrepancy
 
     # -- truncated
     out += _check_truncated(trace)
-
-    # -- shard-equiv
-    out += _check_shard(trace, result)
 
     # -- engine-equiv
     out += _check_engines(trace, result)
@@ -447,127 +442,53 @@ def _offline_max_chain(trace: Trace, obj: int) -> float:
     return best
 
 
-def _check_shard(trace: Trace, result) -> list[Discrepancy]:
-    """Sharded analysis must reproduce the sequential result exactly.
-
-    Not approximately: the stitcher's claim (docs/sharding.md) is that
-    merged timelines preserve the sequential element order, so every
-    float is summed in the same order and the comparison can demand
-    ``==`` rather than isclose.  Runs strict — a stitching inconsistency
-    is reported as a discrepancy instead of falling back to sequential
-    (which is what production ``analyze(jobs=N)`` does).
-    """
-    from repro.core.shard import analyze_sharded
-    from repro.trace.shard import find_cuts
-
-    if not find_cuts(trace):
-        return []  # no quiescent point: sharding legitimately degenerates
-    try:
-        sharded = analyze_sharded(trace, jobs=4, parallel=False, strict=True)
-    except ReproError as exc:
-        return [
-            Discrepancy(
-                "shard-equiv", f"sharded analysis raised {type(exc).__name__}: {exc}"
-            )
-        ]
-    if sharded is None:
-        return [Discrepancy("shard-equiv", "cut points found but no shards selected")]
-    out: list[Discrepancy] = []
-    seq_cp, sh_cp = result.critical_path, sharded.critical_path
-    if sh_cp.length != seq_cp.length:
-        out.append(
-            Discrepancy(
-                "shard-equiv",
-                f"completion time: sharded {sh_cp.length!r} != "
-                f"sequential {seq_cp.length!r}",
-            )
-        )
-    if sh_cp.pieces != seq_cp.pieces:
-        n = len(sh_cp.pieces)
-        out.append(
-            Discrepancy(
-                "shard-equiv",
-                f"critical path differs: {n} sharded pieces vs "
-                f"{len(seq_cp.pieces)} sequential",
-            )
-        )
-    if sh_cp.junctions != seq_cp.junctions:
-        out.append(Discrepancy("shard-equiv", "junction lists differ"))
-    for obj, lm in result.report.locks.items():
-        sm = sharded.report.locks.get(obj)
-        if sm is None:
-            out.append(Discrepancy("shard-equiv", f"{lm.name}: missing from sharded"))
-            continue
-        if sm.cp_fraction != lm.cp_fraction:
-            out.append(
-                Discrepancy(
-                    "shard-equiv",
-                    f"{lm.name}: CP time % sharded {sm.cp_fraction!r} != "
-                    f"sequential {lm.cp_fraction!r}",
-                )
-            )
-        if sm.cont_prob_on_cp != lm.cont_prob_on_cp:
-            out.append(
-                Discrepancy(
-                    "shard-equiv",
-                    f"{lm.name}: contention probability sharded "
-                    f"{sm.cont_prob_on_cp!r} != sequential {lm.cont_prob_on_cp!r}",
-                )
-            )
-    if sharded.report.render(None) != result.report.render(None):
-        out.append(Discrepancy("shard-equiv", "rendered reports are not byte-equal"))
-    return out
-
-
 def _check_engines(trace: Trace, result) -> list[Discrepancy]:
-    """The two analysis engines must agree bit-for-bit.
+    """``analyze`` and the reference pipeline must agree bit-for-bit.
 
-    ``result`` came from the default (columnar) engine; this runs the
-    per-event object pipeline over the same trace and demands ``==``
+    ``result`` came from ``analyze`` (the columnar engine); this runs the
+    per-event reference pipeline over the same trace and demands ``==``
     everywhere — the columnar engine's contract is *bit-identity*, not
-    numerical closeness, which is what lets goldens, shard stitching
-    and the JSON export swap engines without a diff.
+    numerical closeness, which is what lets the goldens and the JSON
+    export stand for both.
     """
     try:
-        obj = analyze(trace, engine="object")
+        ref = reference_analyze(trace)
     except ReproError as exc:
         return [
             Discrepancy(
-                "engine-equiv", f"object engine raised {type(exc).__name__}: {exc}"
+                "engine-equiv", f"reference pipeline raised {type(exc).__name__}: {exc}"
             )
         ]
     out: list[Discrepancy] = []
-    col_cp, obj_cp = result.critical_path, obj.critical_path
-    if col_cp.pieces != obj_cp.pieces:
+    col_cp, ref_cp = result.critical_path, ref.critical_path
+    if col_cp.pieces != ref_cp.pieces:
         out.append(
             Discrepancy(
                 "engine-equiv",
                 f"critical-path pieces differ: {len(col_cp.pieces)} columnar "
-                f"vs {len(obj_cp.pieces)} object",
+                f"vs {len(ref_cp.pieces)} reference",
             )
         )
-    if col_cp.junctions != obj_cp.junctions:
+    if col_cp.junctions != ref_cp.junctions:
         out.append(Discrepancy("engine-equiv", "junction lists differ"))
-    if col_cp.waits != obj_cp.waits:
+    if col_cp.waits != ref_cp.waits:
         out.append(Discrepancy("engine-equiv", "traversed wait lists differ"))
-    if result.report.to_dict() != obj.report.to_dict():
+    if result.report.to_dict() != ref.report.to_dict():
         out.append(Discrepancy("engine-equiv", "report dicts differ"))
-    if result.report.render(None) != obj.report.render(None):
+    if result.report.render(None) != ref.report.render(None):
         out.append(Discrepancy("engine-equiv", "rendered reports are not byte-equal"))
-    if result.timelines != obj.timelines:
+    if result.timelines != ref.timelines:
         out.append(Discrepancy("engine-equiv", "reconstructed timelines differ"))
-    if result.wakers.wakes != obj.wakers.wakes or (
-        result.wakers.creations != obj.wakers.creations
-    ):
+    if result.wakers != ref.wakers:
         out.append(Discrepancy("engine-equiv", "waker tables differ"))
-    for res, engine in ((result, "columnar"), (obj, "object")):
+    for res, engine in ((result, "columnar"), (ref, "reference")):
         for tid, tl in res.timelines.items():
             for w in tl.waits:
                 if w.duration == 0:
                     out.append(
                         Discrepancy(
                             "engine-equiv",
-                            f"{engine} engine kept a zero-duration wait: "
+                            f"{engine} pipeline kept a zero-duration wait: "
                             f"T{tid} seq {w.wake_seq}",
                         )
                     )
@@ -729,7 +650,8 @@ def _check_sampling(trace: Trace, result) -> list[Discrepancy]:
 
 def _check_validators(trace: Trace) -> list[Discrepancy]:
     """Columnar vs reference validator on the trace and its mutants, and
-    the default ``analyze`` refusing every mutant the reference flags."""
+    ``analyze`` and the DAG what-if refusing every mutant the reference
+    flags."""
     out: list[Discrepancy] = []
     cases = [("original", trace)] + [
         (m.label, m.trace) for m in single_row_mutants(trace, _MUTANTS_PER_TRACE)
@@ -747,26 +669,37 @@ def _check_validators(trace: Trace) -> list[Discrepancy]:
             )
         if not ref:
             continue
-        try:
-            analyze(case)
-        except TraceValidationError:
-            continue
-        except Exception as exc:  # noqa: BLE001 — any other outcome is the bug
-            out.append(
-                Discrepancy(
-                    "malformed-rejected",
-                    f"{label}: analyze raised {type(exc).__name__}: {exc} "
-                    f"instead of TraceValidationError ({ref[0]})",
+        for what, run in (
+            ("analyze", lambda: analyze(case)),
+            ("predict_shrink", lambda: _shrink_any_lock(case)),
+        ):
+            try:
+                run()
+            except TraceValidationError:
+                continue
+            except Exception as exc:  # noqa: BLE001 — any other outcome is the bug
+                out.append(
+                    Discrepancy(
+                        "malformed-rejected",
+                        f"{label}: {what} raised {type(exc).__name__}: {exc} "
+                        f"instead of TraceValidationError ({ref[0]})",
+                    )
                 )
-            )
-        else:
-            out.append(
-                Discrepancy(
-                    "malformed-rejected",
-                    f"{label}: analyze returned a report although {ref[0]!r}",
+            else:
+                out.append(
+                    Discrepancy(
+                        "malformed-rejected",
+                        f"{label}: {what} returned an answer although {ref[0]!r}",
+                    )
                 )
-            )
     return out
+
+
+def _shrink_any_lock(trace: Trace) -> None:
+    """Halve the first lock's critical sections (the lock is irrelevant:
+    a malformed trace must be refused before any lock is looked up)."""
+    locks = trace.locks
+    predict_shrink(trace, locks[0].obj if locks else -1, 0.5)
 
 
 def _check_roundtrip(trace: Trace) -> list[Discrepancy]:

@@ -102,16 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-barrier-phase critical lock statistics")
     an_p.add_argument("--no-validate", action="store_true", help="skip trace validation")
     an_p.add_argument(
-        "--engine", choices=("columnar", "object"), default="columnar",
-        help="analysis engine: vectorized numpy hot path (default) or the "
-        "per-event object reference implementation; both are bit-identical",
-    )
-    an_p.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
-        help="analyze in up to N parallel shards split at barrier/join cut "
-        "points (same result, less wall-clock; default: sequential)",
-    )
-    an_p.add_argument(
         "--sample-rate", type=float, default=None, metavar="R",
         help="downsample the trace to this lock-invocation inclusion "
         "probability and print the statistical estimate next to the exact "
@@ -399,19 +389,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if trace_sample_rate(trace) is not None:
         # A sampled capture: the exact engine's numbers would silently
         # describe the sample, not the execution — estimate instead.
-        est = estimate_report(trace, engine=args.engine)
+        est = estimate_report(trace)
         if args.json:
             print(json.dumps(est.to_dict(), indent=2))
         else:
             print(est.render(args.top))
         return 0
-    analysis = analyze(
-        trace, validate=not args.no_validate, jobs=args.jobs, engine=args.engine
-    )
+    analysis = analyze(trace, validate=not args.no_validate)
     est = None
     if args.sample_rate is not None:
         sampled = downsample_trace(trace, args.sample_rate, seed=args.sample_seed)
-        est = estimate_report(sampled, engine=args.engine)
+        est = estimate_report(sampled)
     if args.json:
         doc = analysis.report.to_dict()
         if est is not None:
@@ -513,8 +501,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.replay import reconstruct
+    from repro.trace.validate import validate_trace
 
     trace = read_trace(args.trace)
+    validate_trace(trace)
     replay = reconstruct(trace)
     result = replay.run(
         shrink_lock=args.shrink, factor=args.factor if args.shrink else 1.0,

@@ -1,25 +1,25 @@
 """Critical lock analysis — the paper's contribution.
 
-Pipeline (mirrors the paper's analysis module, Fig. 3):
+Pipeline (mirrors the paper's analysis module, Fig. 3), one sequential
+pass over the trace's numpy columns (:mod:`repro.core.columnar`):
 
-1. :mod:`repro.core.segments` turns a trace into per-thread timelines of
-   execution, waits and lock-hold intervals;
-2. :mod:`repro.core.wakers` resolves, for every blocking wait, the thread
-   and event that ended it (lock releaser / last barrier arriver /
-   condition signaller / exiting joinee);
-3. :mod:`repro.core.critical_path` runs the backward walk of paper Fig. 2
-   to produce the critical path;
-4. :mod:`repro.core.metrics` computes TYPE 1 (on-critical-path) and
-   TYPE 2 (classical per-thread) lock statistics (paper Table 2);
+1. waker resolution: for every blocking wait, the thread and event that
+   ended it (lock releaser / last barrier arriver / condition signaller
+   / exiting joinee; rules in :mod:`repro.core.wakers`);
+2. per-thread timelines of execution, waits and lock-hold intervals
+   (:mod:`repro.core.model`);
+3. the backward walk of paper Fig. 2, producing the critical path
+   (:mod:`repro.core.critical_path`);
+4. TYPE 1 (on-critical-path) and TYPE 2 (classical per-thread) lock
+   statistics (paper Table 2; :mod:`repro.core.metrics`);
 5. :mod:`repro.core.report` renders them; :mod:`repro.core.dag` provides
    an independent longest-path cross-check and powers
    :mod:`repro.core.whatif` speedup predictions.
 
-Use :func:`repro.core.analyzer.analyze` for the whole pipeline.  Steps
-1–4 have two interchangeable implementations: the per-event object
-modules listed above, and the vectorized numpy twins in
-:mod:`repro.core.columnar` (the default engine; bit-identical output,
-see ``docs/algorithm.md``).
+Use :func:`repro.core.analyzer.analyze` for the whole pipeline.  The
+per-event reference implementation of steps 1–4 lives in
+:mod:`repro.check.refengine`, where the oracle holds the two to
+bit-identical output (see ``docs/algorithm.md``).
 """
 
 from importlib import import_module
@@ -41,24 +41,23 @@ from repro.core.replay_whatif import (
 _SOURCE = {
     name: f"repro.core.{module}"
     for module, names in {
-        "analyzer": "ENGINES AnalysisResult analyze",
+        "analyzer": "AnalysisResult analyze",
         "columnar": "ColumnarTimelines ColumnarWakers backward_walk_columnar "
         "build_timelines_columnar resolve_wakers_columnar",
         "attribution": "LockAttribution attribute_lock",
         "blame": "BlameReport compute_blame",
         "compare": "ComparisonReport compare_analyses",
-        "critical_path": "CriticalPath compute_critical_path",
+        "critical_path": "CriticalPath",
         "dag": "EventGraph build_event_graph",
         "estimate": "EstimatedReport LockEstimate estimate_report",
         "eyerman": "CriticalSectionModel eyerman_speedup fit_model",
         "lockorder": "LockOrderGraph build_lock_order",
         "online": "OnlineAnalyzer",
         "planner": "OptimizationPlan plan_optimizations",
-        "metrics": "LockMetrics compute_metrics",
+        "metrics": "LockMetrics ThreadStats",
         "model": "CPPiece HoldInterval ThreadTimeline Wait WaitKind",
         "phases": "PhaseReport split_phases",
         "report": "AnalysisReport",
-        "segments": "build_timelines",
         "whatif": "WhatIfResult predict_shrink",
         "windows": "WindowedCriticality windowed_criticality",
     }.items()

@@ -1,6 +1,6 @@
-"""Columnar (numpy) implementation of the analysis hot path.
+"""Columnar (numpy) implementation of the analysis.
 
-The object engine (:mod:`repro.core.wakers`, :mod:`repro.core.segments`)
+The per-event reference pipeline (:mod:`repro.check.refengine`)
 materializes one :class:`~repro.trace.events.Event` per record — three
 full passes of Python object construction on a path the trace reader
 already hands us as a structured array.  This package keeps the columns:
@@ -17,14 +17,14 @@ already hands us as a structured array.  This package keeps the columns:
   per-thread index arrays instead of dict lookups;
 * :mod:`repro.core.columnar.metrics` computes the TYPE 1 / TYPE 2 tables
   with per-group ``np.cumsum`` so every float is summed in exactly the
-  order the object engine uses — the output is *bit-identical*, which
-  the 14th ``repro.check`` invariant (``engine-equiv``) enforces on
-  every fuzzed seed;
+  order the reference pipeline uses — the output is *bit-identical*, which
+  the ``engine-equiv`` invariant of ``repro.check`` enforces on every
+  fuzzed seed;
 * :mod:`repro.core.columnar.online` is the batch kernel behind
   :meth:`repro.core.online.OnlineAnalyzer.observe_batch`.
 
-``analyze(trace)`` dispatches here by default; ``engine="object"`` is
-the escape hatch (see ``docs/algorithm.md``).
+:func:`repro.core.analyzer.analyze` runs these stages in order (see
+``docs/algorithm.md``).
 """
 
 from repro.core.columnar.metrics import (

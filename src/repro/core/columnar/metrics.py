@@ -1,8 +1,8 @@
 """Columnar TYPE 1 / TYPE 2 metrics, bit-identical to
-:func:`repro.core.metrics.compute_metrics`.
+:func:`repro.check.refengine.compute_metrics`.
 
 Bit-identity constrains the implementation everywhere floats are summed:
-the object engine accumulates left to right, and IEEE addition is not
+the reference pipeline accumulates left to right, and IEEE addition is not
 associative, so every per-group total here is a sequential ``np.cumsum``
 (empirically identical to a Python ``sum`` loop), never ``np.sum`` /
 ``np.add.reduceat`` (pairwise summation).  The hold/critical-path
@@ -39,11 +39,11 @@ def _overlap_group(
 ) -> tuple[float, int, int]:
     """Vectorized :func:`repro.core.metrics._hold_cp_overlap`.
 
-    Pieces are disjoint and sorted, so the object engine's persistent
+    Pieces are disjoint and sorted, so the reference pipeline's persistent
     two-pointer window for hold ``h`` is exactly ``[searchsorted(p_end,
     h.start), searchsorted(p_start, h.end, right))``; the multiplicity
     loop adds each hold's overlap terms in piece order, preserving the
-    object engine's float addition order.
+    reference pipeline's float addition order.
     """
     pi = np.searchsorted(p_e, h_s, side="left")
     jend = np.searchsorted(p_s, h_e, side="right")
@@ -71,7 +71,7 @@ def compute_metrics_columnar(
     ct: ColumnarTimelines,
     cp: CriticalPath,
 ) -> dict[int, LockMetrics]:
-    """Columnar twin of :func:`repro.core.metrics.compute_metrics`."""
+    """TYPE 1 / TYPE 2 statistics for every lock-like object in the trace."""
     nthreads = max(1, len(ct.tids))
     cp_length = cp.length
     pieces_by_thread = cp.pieces_by_thread()
@@ -162,7 +162,7 @@ def compute_metrics_columnar(
 def compute_thread_stats_columnar(
     ct: ColumnarTimelines, cp: CriticalPath
 ) -> list[ThreadStats]:
-    """Columnar twin of :func:`repro.core.metrics.compute_thread_stats`."""
+    """Per-thread breakdown: execution vs each kind of blocking, CP share."""
     cp_by_tid: dict[int, float] = {}
     for p in cp.pieces:
         cp_by_tid[p.tid] = cp_by_tid.get(p.tid, 0.0) + p.duration

@@ -1,8 +1,9 @@
-"""Columnar timeline construction (array form of :mod:`repro.core.segments`).
+"""Columnar timeline construction.
 
-The object engine walks each thread's events with five little dicts
-(pending acquire/barrier/cond/join slots and per-lock hold stacks).
-Here each dict becomes one vectorized pass:
+The per-event reference (:func:`repro.check.refengine.build_timelines`)
+walks each thread's events with five little dicts (pending
+acquire/barrier/cond/join slots and per-lock hold stacks).  Here each
+dict becomes one vectorized pass:
 
 * every "pending X" slot is one sort of its setter (ACQUIRE,
   BARRIER_ARRIVE, COND_BLOCK, JOIN_BEGIN) and getter rows by (key,
@@ -12,12 +13,12 @@ Here each dict becomes one vectorized pass:
   :func:`~repro.arrayops.lifo_match` parenthesis matching;
 * waits and holds end up as flat parallel arrays with per-thread /
   per-``(tid, obj)`` group index ranges, and :meth:`ColumnarTimelines.
-  to_object` reconstructs the exact object-engine ``ThreadTimeline``
+  to_object` reconstructs the exact reference ``ThreadTimeline``
   dict — including the insertion order of ``holds`` keys, which viz and
   export iterate.
 
 A wait with ``duration == 0`` never delayed its thread, so it is
-dropped here and in the object engine alike (it must not redirect the
+dropped here and in the reference pipeline alike (it must not redirect the
 backward walk through a dependency that cost nothing; see
 ``docs/algorithm.md``).
 """
@@ -31,11 +32,17 @@ import numpy as np
 from repro.arrayops import dense_keys, group_bounds, lex_order, lifo_match, prev_same_key
 from repro.core.columnar.wakers import ColumnarWakers, resolve_wakers_columnar
 from repro.core.model import HoldInterval, ThreadTimeline, Wait, WaitKind
+from repro.core.wakers import WakerTable
 from repro.errors import AnalysisError
 from repro.trace.events import EventType
 from repro.trace.trace import Trace
 
-__all__ = ["ColumnarTimelines", "build_timelines_columnar", "WAIT_KIND_CODES"]
+__all__ = [
+    "ColumnarTimelines",
+    "build_timelines_columnar",
+    "object_structures",
+    "WAIT_KIND_CODES",
+]
 
 #: Wait-kind code (uint8 column value) -> WaitKind, in a fixed order.
 WAIT_KIND_CODES: list[WaitKind] = [
@@ -69,7 +76,7 @@ class ColumnarTimelines:
     """Array-of-struct free timelines: waits/holds as parallel columns.
 
     Waits are sorted by ``(tid, wake_seq)`` (each thread's slice is the
-    object engine's ``tl.waits`` order); holds by ``(tid, obj, start,
+    reference pipeline's ``tl.waits`` order); holds by ``(tid, obj, start,
     end, insertion)`` (each group is ``tl.holds[obj]`` post-sort order).
     """
 
@@ -102,7 +109,7 @@ class ColumnarTimelines:
     h_acquire: np.ndarray = field(default_factory=_empty_f8)
     #: (tid, obj) -> [lo, hi) into the hold arrays
     hold_groups: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
-    #: tid -> lock objs in the object engine's ``tl.holds`` dict order
+    #: tid -> lock objs in the reference pipeline's ``tl.holds`` dict order
     hold_obj_order: dict[int, list[int]] = field(default_factory=dict)
     #: total event count of the underlying trace (walk-guard sizing)
     n_events: int = 0
@@ -110,75 +117,10 @@ class ColumnarTimelines:
     def tid_index(self) -> dict[int, int]:
         return {int(t): i for i, t in enumerate(self.tids)}
 
-    @staticmethod
-    def merge(parts: list["ColumnarTimelines"]) -> "ColumnarTimelines":
-        """Concatenate per-shard timelines (shard order is seq order).
-
-        Mirrors :func:`repro.core.shard._merge_timelines`: spans take the
-        min/max, a later shard's creator wins, waits re-sort by
-        ``(tid, wake_seq)``, and holds re-sort stably by ``(tid, obj,
-        start, end)`` so equal intervals keep shard order — exactly the
-        object engine's stable per-lock re-sort.
-        """
-        ct = ColumnarTimelines(n_events=sum(p.n_events for p in parts))
-        span: dict[int, list] = {}
-        obj_order: dict[int, list[int]] = {}
-        for p in parts:
-            for i, t in enumerate(p.tids):
-                tid = int(t)
-                cur = span.get(tid)
-                if cur is None:
-                    span[tid] = [
-                        p.names[i],
-                        float(p.t_start[i]),
-                        float(p.t_end[i]),
-                        int(p.creator_tid[i]),
-                        float(p.create_time[i]),
-                        int(p.create_seq[i]),
-                    ]
-                else:
-                    cur[1] = min(cur[1], float(p.t_start[i]))
-                    cur[2] = max(cur[2], float(p.t_end[i]))
-                    if p.creator_tid[i] >= 0:
-                        cur[3] = int(p.creator_tid[i])
-                        cur[4] = float(p.create_time[i])
-                        cur[5] = int(p.create_seq[i])
-            for tid, objs in p.hold_obj_order.items():
-                seen = obj_order.setdefault(tid, [])
-                for o in objs:
-                    if o not in seen:
-                        seen.append(o)
-        tids = sorted(span)
-        ct.tids = np.array(tids, dtype=np.int64)
-        ct.names = [span[t][0] for t in tids]
-        ct.t_start = np.array([span[t][1] for t in tids], dtype=np.float64)
-        ct.t_end = np.array([span[t][2] for t in tids], dtype=np.float64)
-        ct.creator_tid = np.array([span[t][3] for t in tids], dtype=np.int64)
-        ct.create_time = np.array([span[t][4] for t in tids], dtype=np.float64)
-        ct.create_seq = np.array([span[t][5] for t in tids], dtype=np.int64)
-        ct.hold_obj_order = obj_order
-
-        def concat_sorted(names: tuple[str, ...], n_keys: int) -> None:
-            cols = [np.concatenate([getattr(p, name) for p in parts]) for name in names]
-            order = lex_order(*cols[:n_keys])  # stable: ties keep shard order
-            for name, col in zip(names, cols):
-                setattr(ct, name, col[order])
-
-        concat_sorted((
-            "w_tid", "w_wake_seq", "w_kind", "w_obj", "w_start", "w_end",
-            "w_waker_tid", "w_waker_time", "w_waker_seq",
-        ), 2)
-        ct.wait_lo, ct.wait_hi = _spans_for(ct.tids, ct.w_tid)
-        concat_sorted(
-            ("h_tid", "h_obj", "h_start", "h_end", "h_contended", "h_acquire"), 4
-        )
-        ct.hold_groups = _hold_groups(ct)
-        return ct
-
     # -- materialization ---------------------------------------------------
 
     def to_object(self) -> dict[int, ThreadTimeline]:
-        """Rebuild the exact ``build_timelines`` output (objects)."""
+        """Rebuild the reference ``build_timelines`` output (objects)."""
         out: dict[int, ThreadTimeline] = {}
         for i, t in enumerate(self.tids):
             tid = int(t)
@@ -229,27 +171,24 @@ def _slot_values(
     time: np.ndarray,
     setter_pos: np.ndarray,
     getter_pos: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Dict-slot semantics: each getter pops its key's slot, which holds
     the previous row's time iff that row (same key) is a setter.
 
     Returns per getter the popped time (its own time for an empty slot,
-    the object engine's ``dict.pop`` default) and whether no earlier
-    setter or getter has its key.
+    the reference pipeline's ``dict.pop`` default).
     """
     ns = len(setter_pos)
     rows = np.concatenate([setter_pos, getter_pos])
     prev = prev_same_key(dense_keys(*(c[rows] for c in key_cols)), rows)[0][ns:]
     valid = (prev >= 0) & (prev < ns)
-    return np.where(valid, time[rows[np.maximum(prev, 0)]], time[getter_pos]), prev < 0
+    return np.where(valid, time[rows[np.maximum(prev, 0)]], time[getter_pos])
 
 
 def build_timelines_columnar(
-    trace: Trace,
-    wakers: ColumnarWakers | None = None,
-    boundary_arrivals: dict[tuple[int, int], dict[int, float]] | None = None,
+    trace: Trace, wakers: ColumnarWakers | None = None
 ) -> ColumnarTimelines:
-    """Columnar twin of :func:`repro.core.segments.build_timelines`."""
+    """Build every thread's waits and holds as flat columns."""
     if wakers is None:
         wakers = resolve_wakers_columnar(trace)
     rec = trace.records
@@ -285,30 +224,22 @@ def build_timelines_columnar(
 
     # -- pending-slot matching per wait kind -------------------------------
     obtains = np.flatnonzero(etype == _OBTAIN)
-    acq_vals, _ = _slot_values(
+    acq_vals = _slot_values(
         (tid, obj), time, np.flatnonzero(etype == _ACQUIRE), obtains
     )
 
     departs = np.flatnonzero(etype == _DEPART)
-    arrive_vals, dep_first = _slot_values(
+    arrive_vals = _slot_values(
         (tid, obj, arg), time, np.flatnonzero(etype == _ARRIVE), departs
     )
-    if boundary_arrivals and len(departs):
-        # A seed fills the slot before the thread's first event; it is
-        # consumed by the first pop, and an in-trace arrival overrides it.
-        for j in np.flatnonzero(dep_first):
-            p = departs[j]
-            per_tid = boundary_arrivals.get((int(obj[p]), int(arg[p])))
-            if per_tid is not None and int(tid[p]) in per_tid:
-                arrive_vals[j] = per_tid[int(tid[p])]
 
     cond_wakes = np.flatnonzero(etype == _COND_WAKE)
-    block_vals, _ = _slot_values(
+    block_vals = _slot_values(
         (tid, obj), time, np.flatnonzero(etype == _COND_BLOCK), cond_wakes
     )
 
     join_ends = np.flatnonzero(etype == _JOIN_END)
-    begin_vals, _ = _slot_values(
+    begin_vals = _slot_values(
         (tid, arg), time, np.flatnonzero(etype == _JOIN_BEGIN), join_ends
     )
 
@@ -356,7 +287,7 @@ def build_timelines_columnar(
     )
     bad = np.flatnonzero(open_for_close[no:] < 0)
     if len(bad):
-        # The object engine scans threads in sorted-tid order and raises
+        # The reference pipeline scans threads in sorted-tid order and raises
         # at the first bad RELEASE it meets.
         bpos = releases[bad]
         k = np.lexsort((bpos, tid[bpos]))[0]
@@ -391,6 +322,17 @@ def build_timelines_columnar(
     return ct
 
 
+def object_structures(trace: Trace) -> tuple[dict[int, ThreadTimeline], WakerTable]:
+    """``trace``'s timelines and waker table as objects, not validated.
+
+    For callers that have no analysis of the trace to reuse (a bare
+    :func:`~repro.core.dag.build_event_graph` or
+    :func:`~repro.replay.reconstruct`).
+    """
+    cw = resolve_wakers_columnar(trace)
+    return build_timelines_columnar(trace, cw).to_object(), cw.to_table(trace.records)
+
+
 def _spans_for(tids: np.ndarray, sorted_item_tid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-tid [lo, hi) ranges into an array sorted by tid."""
     lo = np.searchsorted(sorted_item_tid, tids, side="left")
@@ -398,24 +340,21 @@ def _spans_for(tids: np.ndarray, sorted_item_tid: np.ndarray) -> tuple[np.ndarra
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _hold_groups(ct: ColumnarTimelines) -> dict[tuple[int, int], tuple[int, int]]:
-    """``(tid, obj) -> [lo, hi)`` ranges of the hold columns."""
-    if len(ct.h_tid) == 0:
-        return {}
-    starts, _ = group_bounds(dense_keys(ct.h_tid, ct.h_obj))
-    b = np.append(starts, len(ct.h_tid)).tolist()
-    return {(int(ct.h_tid[lo]), int(ct.h_obj[lo])): (lo, hi) for lo, hi in zip(b, b[1:])}
-
-
 def _index_hold_groups(ct: ColumnarTimelines, sorted_rank: np.ndarray, n: int) -> None:
     """Build the (tid, obj) group ranges and the ``tl.holds`` key order.
 
-    The object engine inserts a lock into ``tl.holds`` at its first
+    The reference pipeline inserts a lock into ``tl.holds`` at its first
     RELEASE (``setdefault``) and appends leftover-only locks afterwards
     in first-OBTAIN order — reproduced via each group's minimum
     insertion rank, split on matched (< n) vs leftover (>= n) ranks.
     """
-    ct.hold_groups = _hold_groups(ct)
+    ct.hold_groups = {}
+    if len(ct.h_tid):
+        starts, _ = group_bounds(dense_keys(ct.h_tid, ct.h_obj))
+        b = np.append(starts, len(ct.h_tid)).tolist()
+        ct.hold_groups = {
+            (int(ct.h_tid[lo]), int(ct.h_obj[lo])): (lo, hi) for lo, hi in zip(b, b[1:])
+        }
     ct.hold_obj_order = {}
     order_keys: dict[int, list[tuple[int, int, int]]] = {}
     for (t, o), (lo, hi) in ct.hold_groups.items():

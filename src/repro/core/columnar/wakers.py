@@ -1,21 +1,21 @@
-"""Vectorized waker resolution (columnar form of :mod:`repro.core.wakers`).
+"""Vectorized waker resolution (the rules of :mod:`repro.core.wakers`).
 
 Each of the paper's §IV.B rules is one :func:`~repro.arrayops.
 latest_prior` query instead of a dict maintained while looping events:
 
 * contended OBTAIN → latest prior RELEASE keyed by lock object;
 * BARRIER_DEPART → the cohort's *global* last arrival per (barrier,
-  generation) — a group-max, not a latest-prior, mirroring the object
-  engine's separate first pass;
+  generation) — a group-max, not a latest-prior, mirroring the
+  reference pipeline's separate first pass;
 * COND_WAKE → latest prior COND_SIGNAL/BROADCAST on the condition if it
   was emitted by the recorded signaller, else that thread's latest prior
   event of any type;
 * JOIN_END → the joined thread's latest prior THREAD_EXIT;
 * THREAD_CREATE → last creation per child tid (a dict overwrite, as in
-  the object engine: there is one per thread).
+  the reference pipeline: there is one per thread).
 
 Failures raise :class:`~repro.errors.WakerResolutionError` with the same
-message the object engine produces, for the earliest failing event.
+message the reference pipeline produces, for the earliest failing event.
 """
 
 from __future__ import annotations
@@ -58,20 +58,8 @@ class ColumnarWakers:
     waker_seq: np.ndarray  # int64, -1 where not a wake event
     creations: dict[int, WakeInfo] = field(default_factory=dict)
 
-    @staticmethod
-    def merge(parts: list["ColumnarWakers"]) -> "ColumnarWakers":
-        """Concatenate per-shard columns (shard order is record order)."""
-        merged = ColumnarWakers(
-            waker_tid=np.concatenate([p.waker_tid for p in parts]),
-            waker_time=np.concatenate([p.waker_time for p in parts]),
-            waker_seq=np.concatenate([p.waker_seq for p in parts]),
-        )
-        for p in parts:
-            merged.creations.update(p.creations)
-        return merged
-
     def to_table(self, records: np.ndarray) -> WakerTable:
-        """Materialize the object engine's :class:`WakerTable` view."""
+        """Materialize the :class:`WakerTable` view."""
         seq = records["seq"]
         wakes: dict[int, WakeInfo] = {}
         for i in np.flatnonzero(self.waker_seq >= 0):
@@ -84,7 +72,7 @@ class ColumnarWakers:
 
 
 def _raise_first(trace: Trace, failures: list[tuple[np.ndarray, str]]) -> None:
-    """Raise the object engine's error for the earliest failing event."""
+    """Raise the reference pipeline's error for the earliest failing event."""
     first_pos = None
     first_rule = ""
     for pos_arr, rule in failures:
@@ -116,11 +104,8 @@ def _raise_first(trace: Trace, failures: list[tuple[np.ndarray, str]]) -> None:
     )
 
 
-def resolve_wakers_columnar(
-    trace: Trace,
-    barrier_seed: dict[tuple[int, int], WakeInfo] | None = None,
-) -> ColumnarWakers:
-    """Columnar twin of :func:`repro.core.wakers.resolve_wakers`."""
+def resolve_wakers_columnar(trace: Trace) -> ColumnarWakers:
+    """Resolve the waker of every wake event (rules: :mod:`repro.core.wakers`)."""
     rec = trace.records
     n = len(rec)
     etype = rec["etype"]
@@ -170,18 +155,7 @@ def resolve_wakers_columnar(
             assign(q[hit], group_last[gi_c[hit]])
         else:
             hit = np.zeros(len(q), dtype=bool)
-        miss = q[~hit]
-        if len(miss) and barrier_seed:
-            seeded = np.zeros(len(miss), dtype=bool)
-            for j, p in enumerate(miss):
-                info = barrier_seed.get((int(obj[p]), int(arg[p])))
-                if info is not None:
-                    seeded[j] = True
-                    waker_tid[p] = info.waker_tid
-                    waker_time[p] = info.waker_time
-                    waker_seq[p] = info.waker_seq
-            miss = miss[~seeded]
-        failures.append((miss, "depart"))
+        failures.append((q[~hit], "depart"))
 
     # -- COND_WAKE <- latest prior signal, else signaller's latest event --
     q = np.flatnonzero(etype == _COND_WAKE)

@@ -1,6 +1,6 @@
 """Backward critical-path walk over columnar timelines.
 
-Identical control flow to :func:`repro.core.critical_path.backward_walk`
+Identical control flow to :func:`repro.check.refengine.backward_walk`
 — start at the last event of the last finished thread, cursor backwards,
 jump to the waker whenever the position follows a blocked interval — but
 the per-thread wait lookup is an ``np.searchsorted`` over each thread's
@@ -23,19 +23,14 @@ import numpy as np
 __all__ = ["backward_walk_columnar", "compute_critical_path_columnar"]
 
 
-def backward_walk_columnar(
-    trace: Trace,
-    ct: ColumnarTimelines,
-    lo_seq: int | None = None,
-) -> WalkSegment:
-    """Columnar twin of :func:`repro.core.critical_path.backward_walk`."""
+def backward_walk_columnar(trace: Trace, ct: ColumnarTimelines) -> WalkSegment:
+    """The paper's backward walk (Fig. 2) over a whole trace."""
     tindex = ct.tid_index()
     last = trace.records[len(trace.records) - 1]
     cur_tid, cur_time, cur_seq = int(last["tid"]), float(last["time"]), int(last["seq"])
     pieces: list[CPPiece] = []
     junctions: list[Junction] = []
     waits = []
-    boundary = "open"
     max_steps = ct.n_events + len(ct.tids) + 1
 
     wake_seq = ct.w_wake_seq
@@ -61,9 +56,6 @@ def backward_walk_columnar(
                 )
             )
             waits.append(w)
-            if lo_seq is not None and w.waker_seq < lo_seq:
-                boundary = "jump"
-                break
             cur_tid, cur_time, cur_seq = w.waker_tid, w.waker_time, w.waker_seq
         else:
             pieces.append(CPPiece(tid=cur_tid, start=float(ct.t_start[i]), end=cur_time))
@@ -87,7 +79,7 @@ def backward_walk_columnar(
     pieces.reverse()
     junctions.reverse()
     waits.reverse()
-    return WalkSegment(pieces=pieces, junctions=junctions, waits=waits, boundary=boundary)
+    return WalkSegment(pieces=pieces, junctions=junctions, waits=waits)
 
 
 def compute_critical_path_columnar(trace: Trace, ct: ColumnarTimelines) -> CriticalPath:

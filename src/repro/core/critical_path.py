@@ -12,23 +12,17 @@ strictly decreases at every jump (a waker's event always precedes the
 wake it causes), which also makes the walk robust to chains of
 simultaneous events in virtual-time traces.
 
-:func:`backward_walk` exposes the walk itself with an optional shard
-boundary (``lo_seq``); the sharded analyzer (:mod:`repro.core.shard`)
-runs one bounded walk per shard and stitches the segments.
+:func:`repro.core.columnar.backward_walk_columnar` runs the walk; this
+module holds its result types.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.core.model import CPPiece, Junction, ThreadTimeline, Wait, WaitKind
-from repro.errors import AnalysisError
-from repro.core.segments import build_timelines
-from repro.core.wakers import WakerTable
-from repro.trace.trace import Trace
+from repro.core.model import CPPiece, Junction, Wait, WaitKind
 
-__all__ = ["CriticalPath", "WalkSegment", "backward_walk", "compute_critical_path"]
+__all__ = ["CriticalPath", "WalkSegment"]
 
 
 @dataclass(frozen=True)
@@ -84,128 +78,10 @@ class CriticalPath:
         )
 
 
-@dataclass
-class _Cursor:
-    tid: int
-    time: float
-    seq: int
-
-
 @dataclass(frozen=True)
 class WalkSegment:
-    """One backward walk's output, in forward order.
-
-    ``boundary`` records how the walk terminated: ``"open"`` when it
-    fell off a thread's (possibly shard-local) start with no creator to
-    jump to, ``"jump"`` when it traversed a wait whose waker lies before
-    ``lo_seq`` — i.e. before the shard — and stopped there.  A whole-
-    trace walk always terminates ``"open"``, at a root thread's start.
-    """
+    """One backward walk's output, in forward order."""
 
     pieces: list[CPPiece]
     junctions: list[Junction]
     waits: list[Wait]
-    boundary: str  # "open" | "jump"
-
-
-def backward_walk(
-    trace: Trace,
-    timelines: dict[int, ThreadTimeline],
-    lo_seq: int | None = None,
-) -> WalkSegment:
-    """The paper's backward walk over a trace (or one shard of it).
-
-    With ``lo_seq`` set, the walk treats any wait whose waker seq is
-    below it as a shard boundary: the piece, junction and wait are
-    recorded as usual but the cursor does not leave the shard.  The
-    sharded analyzer stitches the resulting segments end to end.
-    """
-    # Pre-extract each thread's wake-seq array for bisection.
-    wake_seqs: dict[int, list[int]] = {
-        tid: [w.wake_seq for w in tl.waits] for tid, tl in timelines.items()
-    }
-
-    last = trace[len(trace) - 1]
-    cur = _Cursor(tid=last.tid, time=last.time, seq=last.seq)
-    pieces: list[CPPiece] = []
-    junctions: list[Junction] = []
-    waits: list[Wait] = []
-    boundary = "open"
-
-    # For traces produced by the simulator or the instrumentation layer a
-    # waker's event always precedes the wake, so the cursor seq strictly
-    # decreases and the walk visits at most one piece per wake event.  The
-    # guard protects against hand-built traces that violate that ordering.
-    max_steps = len(trace) + len(timelines) + 1
-
-    while True:
-        if len(pieces) > max_steps:
-            raise AnalysisError(
-                "backward walk did not terminate: trace has wake events "
-                "recorded before their wakers"
-            )
-        tl = timelines[cur.tid]
-        seqs = wake_seqs[cur.tid]
-        idx = bisect_right(seqs, cur.seq) - 1
-        if idx >= 0:
-            w = tl.waits[idx]
-            pieces.append(CPPiece(tid=cur.tid, start=w.end, end=cur.time))
-            junctions.append(
-                Junction(
-                    time=w.end,
-                    from_tid=w.waker_tid,
-                    to_tid=cur.tid,
-                    kind=w.kind,
-                    obj=w.obj,
-                )
-            )
-            waits.append(w)
-            if lo_seq is not None and w.waker_seq < lo_seq:
-                boundary = "jump"
-                break
-            cur = _Cursor(tid=w.waker_tid, time=w.waker_time, seq=w.waker_seq)
-        else:
-            pieces.append(CPPiece(tid=cur.tid, start=tl.start, end=cur.time))
-            if tl.creator_tid is not None:
-                junctions.append(
-                    Junction(
-                        time=tl.start,
-                        from_tid=tl.creator_tid,
-                        to_tid=cur.tid,
-                        kind=None,
-                        obj=-1,
-                    )
-                )
-                cur = _Cursor(tl.creator_tid, tl.create_time, tl.create_seq)
-            else:
-                break
-
-    pieces.reverse()
-    junctions.reverse()
-    waits.reverse()
-    return WalkSegment(
-        pieces=pieces, junctions=junctions, waits=waits, boundary=boundary
-    )
-
-
-def compute_critical_path(
-    trace: Trace,
-    timelines: dict[int, ThreadTimeline] | None = None,
-    wakers: WakerTable | None = None,
-) -> CriticalPath:
-    """Run the backward walk and return the critical path.
-
-    ``timelines`` may be passed to reuse a previous
-    :func:`repro.core.segments.build_timelines` result.
-    """
-    if len(trace) == 0:
-        return CriticalPath(pieces=[], junctions=[], waits=[], trace_duration=0.0)
-    if timelines is None:
-        timelines = build_timelines(trace, wakers)
-    walk = backward_walk(trace, timelines)
-    return CriticalPath(
-        pieces=walk.pieces,
-        junctions=walk.junctions,
-        waits=walk.waits,
-        trace_duration=trace.duration,
-    )

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.columnar.timelines import object_structures
 from repro.core.model import HoldInterval, ThreadTimeline
-from repro.core.segments import build_timelines
-from repro.core.wakers import WakerTable, resolve_wakers
+from repro.core.wakers import WakerTable
 from repro.trace.events import EventType
 from repro.trace.trace import Trace
 
@@ -255,11 +255,14 @@ def build_event_graph(
     timelines: dict[int, ThreadTimeline] | None = None,
     wakers: WakerTable | None = None,
 ) -> EventGraph:
-    """Construct the event DAG from a trace."""
-    if wakers is None:
-        wakers = resolve_wakers(trace)
-    if timelines is None:
-        timelines = build_timelines(trace, wakers)
+    """Construct the event DAG from a trace.
+
+    Pass the ``timelines`` and ``wakers`` of an existing analysis to
+    reuse them; otherwise both are built here, without validating the
+    trace (:func:`repro.core.analyzer.analyze` validates).
+    """
+    if timelines is None or wakers is None:
+        timelines, wakers = object_structures(trace)
 
     records = trace.records
     n = len(records)

@@ -30,7 +30,7 @@ This module reconstructs the critical-lock ranking from such a trace:
 
 At ``rate=1.0`` the sample *is* the full trace: the point estimates
 reproduce the exact engine's ``cp_fraction`` bit for bit (the per-hold
-overlap sweep replicates :func:`repro.core.metrics.compute_metrics`'s
+overlap sweep replicates :func:`repro.core.columnar.compute_metrics_columnar`'s
 accumulation order) and the interval collapses to a point.
 
 Honesty of the (estimator, sampler) pair is cross-validated against the
@@ -253,7 +253,6 @@ def estimate_report(
     *,
     confidence: float = 0.9,
     bootstrap: int = 200,
-    engine: str = "columnar",
 ) -> EstimatedReport:
     """Estimate the critical-lock ranking of the *full* execution.
 
@@ -283,7 +282,7 @@ def estimate_report(
 
     repaired, demoted = demote_orphan_contention(trace)
     # A repaired sample is not a complete trace: dropped brackets leave gaps.
-    result = analyze(repaired, validate=False, engine=engine)
+    result = analyze(repaired, validate=False)
     cp = result.critical_path
     timelines = result.timelines
     cp_length = cp.length

@@ -20,18 +20,19 @@ TYPE 2 — classical per-lock statistics used by prior tools:
 * ``avg_invocations`` ("Avg. Invo. #") per thread;
 * ``avg_cont_prob`` ("Avg. Cont. Prob %") over all invocations;
 * ``avg_hold_fraction`` ("Avg. Hold Time %").
+
+:mod:`repro.core.columnar.metrics` computes them; this module holds the
+result types and the per-thread hold/critical-path overlap rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.critical_path import CriticalPath
-from repro.core.model import CPPiece, HoldInterval, ThreadTimeline, WaitKind
+from repro.core.model import CPPiece, HoldInterval
 from repro.trace.events import ObjectKind
-from repro.trace.trace import Trace
 
-__all__ = ["LockMetrics", "ThreadStats", "compute_metrics", "compute_thread_stats"]
+__all__ = ["LockMetrics", "ThreadStats"]
 
 
 @dataclass(frozen=True)
@@ -129,96 +130,3 @@ def _hold_cp_overlap(
             if h.contended:
                 contended += 1
     return total, on_cp, contended
-
-
-def compute_metrics(
-    trace: Trace,
-    timelines: dict[int, ThreadTimeline],
-    cp: CriticalPath,
-) -> dict[int, LockMetrics]:
-    """Compute :class:`LockMetrics` for every lock-like object in the trace."""
-    nthreads = max(1, len(timelines))
-    cp_length = cp.length
-    pieces_by_thread = cp.pieces_by_thread()
-    for plist in pieces_by_thread.values():
-        plist.sort(key=lambda p: (p.start, p.end))
-
-    out: dict[int, LockMetrics] = {}
-    for info in trace.locks:
-        obj = info.obj
-        cp_hold = 0.0
-        inv_on_cp = 0
-        cont_on_cp = 0
-        total_inv = 0
-        cont_inv = 0
-        total_wait = 0.0
-        total_hold = 0.0
-        wait_fracs = 0.0
-        hold_fracs = 0.0
-        for tid, tl in timelines.items():
-            holds = tl.holds.get(obj, [])
-            t_hold = sum(h.duration for h in holds)
-            t_wait = sum(h.wait for h in holds)
-            total_inv += len(holds)
-            cont_inv += sum(1 for h in holds if h.contended)
-            total_hold += t_hold
-            total_wait += t_wait
-            if tl.lifetime > 0:
-                wait_fracs += t_wait / tl.lifetime
-                hold_fracs += t_hold / tl.lifetime
-            pieces = pieces_by_thread.get(tid)
-            if pieces and holds:
-                o, n, c = _hold_cp_overlap(holds, pieces)
-                cp_hold += o
-                inv_on_cp += n
-                cont_on_cp += c
-        avg_inv = total_inv / nthreads
-        avg_hold_frac = hold_fracs / nthreads
-        cp_frac = cp_hold / cp_length if cp_length > 0 else 0.0
-        out[obj] = LockMetrics(
-            obj=obj,
-            name=info.display_name,
-            kind=info.kind,
-            cp_hold_time=cp_hold,
-            cp_fraction=cp_frac,
-            invocations_on_cp=inv_on_cp,
-            contended_on_cp=cont_on_cp,
-            invocation_increase=(inv_on_cp / avg_inv) if avg_inv > 0 else 0.0,
-            size_increase=(cp_frac / avg_hold_frac) if avg_hold_frac > 0 else 0.0,
-            cp_crossings=cp.junction_count(obj, WaitKind.LOCK),
-            total_invocations=total_inv,
-            contended_invocations=cont_inv,
-            avg_invocations=avg_inv,
-            total_wait_time=total_wait,
-            avg_wait_fraction=wait_fracs / nthreads,
-            total_hold_time=total_hold,
-            avg_hold_fraction=avg_hold_frac,
-        )
-    return out
-
-
-def compute_thread_stats(
-    timelines: dict[int, ThreadTimeline], cp: CriticalPath
-) -> list[ThreadStats]:
-    """Per-thread breakdown: execution vs each kind of blocking, CP share."""
-    cp_by_tid: dict[int, float] = {}
-    for p in cp.pieces:
-        cp_by_tid[p.tid] = cp_by_tid.get(p.tid, 0.0) + p.duration
-    stats = []
-    for tid, tl in sorted(timelines.items()):
-        by_kind = tl.wait_time_by_kind()
-        total_wait = sum(by_kind.values())
-        stats.append(
-            ThreadStats(
-                tid=tid,
-                name=tl.name,
-                lifetime=tl.lifetime,
-                exec_time=tl.lifetime - total_wait,
-                lock_wait=by_kind.get(WaitKind.LOCK, 0.0),
-                barrier_wait=by_kind.get(WaitKind.BARRIER, 0.0),
-                cond_wait=by_kind.get(WaitKind.CONDITION, 0.0),
-                join_wait=by_kind.get(WaitKind.JOIN, 0.0),
-                cp_time=cp_by_tid.get(tid, 0.0),
-            )
-        )
-    return stats

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.core.analyzer import analyze
+from repro.core.analyzer import AnalysisResult, analyze
 from repro.core.report import AnalysisReport
 from repro.errors import AnalysisError
 from repro.tables import format_table
@@ -207,7 +207,7 @@ def replay_whatif(
     priorities: dict[int | str, int] | None = None,
     protocol_params: dict[str, Any] | None = None,
     cores: int | str | None = "auto",
-    baseline: AnalysisReport | None = None,
+    baseline: AnalysisResult | None = None,
 ) -> ProtocolForecast:
     """Replay ``trace`` under an alternative policy and diff the ranking.
 
@@ -229,8 +229,9 @@ def replay_whatif(
         ``"auto"`` (default) replays with the recorded core count; an
         int or ``None`` overrides it.
     baseline:
-        Pass a precomputed baseline report to amortize analysis across a
-        forecast matrix.
+        Pass the trace's own :func:`~repro.core.analyzer.analyze` result
+        to amortize analysis across a forecast matrix; its timelines and
+        wakers also drive the program reconstruction.
     """
     from repro.replay import reconstruct
     from repro.sim.protocols import get_protocol
@@ -253,8 +254,8 @@ def replay_whatif(
     sched = get_scheduler(scheduler, **sched_params)
 
     if baseline is None:
-        baseline = analyze(trace).report
-    prog = reconstruct(trace).build(
+        baseline = analyze(trace)
+    prog = reconstruct(trace, baseline.timelines, baseline.wakers).build(
         cores=_resolve_cores(trace, cores),
         seed=trace.meta.get("seed", 0),
         protocol=proto,
@@ -265,10 +266,11 @@ def replay_whatif(
     # Simulator output, not an input: its well-formedness is the simulator's contract.
     predicted = analyze(result.trace, validate=False).report
 
+    base_report = baseline.report
     base_rank = {
-        m.name: i + 1 for i, m in enumerate(baseline.top_locks(None))
+        m.name: i + 1 for i, m in enumerate(base_report.top_locks(None))
     }
-    base_locks = {m.name: m for m in baseline.locks.values()}
+    base_locks = {m.name: m for m in base_report.locks.values()}
     deltas = []
     for i, m in enumerate(predicted.top_locks(None)):
         b = base_locks.get(m.name)
@@ -298,7 +300,7 @@ def replay_whatif(
         baseline_time=trace.duration,
         predicted_time=result.completion_time,
         deltas=deltas,
-        baseline_report=baseline,
+        baseline_report=base_report,
         predicted_report=predicted,
     )
 
@@ -334,7 +336,7 @@ def forecast_matrix(
         protocols = [p for p in available_protocols() if p != "recorded"]
     if schedulers is None:
         schedulers = available_schedulers()
-    baseline = analyze(trace).report
+    baseline = analyze(trace)
     out = []
     for proto in protocols:
         for sched in schedulers:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.dag import EventGraph, build_event_graph
+from repro.core.dag import EventGraph
 from repro.errors import AnalysisError
 from repro.trace.trace import Trace
 
@@ -75,10 +75,12 @@ def predict_shrink(
         New relative critical-section size (0 = eliminate, 0.5 = halve).
     graph:
         Pass a prebuilt :class:`EventGraph` to amortize construction over
-        many predictions.
+        many predictions.  Without one, the graph comes from
+        :func:`repro.core.analyzer.analyze`, which rejects a malformed
+        trace with :class:`~repro.errors.TraceValidationError`.
     """
     if graph is None:
-        graph = build_event_graph(trace)
+        graph = _validated_graph(trace)
     obj = resolve_lock(trace, lock)
     baseline = graph.completion_time()
     predicted = graph.completion_time(graph.shrunk_weights(obj, factor))
@@ -104,10 +106,11 @@ def predict_no_contention(
     dependency edges of the lock are removed from the event DAG and the
     longest path is re-solved.  The critical sections' own execution
     time is kept (compare with :func:`predict_shrink`, which keeps the
-    serialization but shrinks the work).
+    serialization but shrinks the work).  Without ``graph``, the trace
+    is validated as in :func:`predict_shrink`.
     """
     if graph is None:
-        graph = build_event_graph(trace)
+        graph = _validated_graph(trace)
     obj = resolve_lock(trace, lock)
     baseline = graph.completion_time()
     predicted = graph.completion_time(skip_edges=graph.lock_wake_edge_set(obj))
@@ -118,6 +121,12 @@ def predict_no_contention(
         predicted_time=predicted,
         mode="no-contention",
     )
+
+
+def _validated_graph(trace: Trace) -> EventGraph:
+    from repro.core.analyzer import analyze  # deferred: analyzer imports this module
+
+    return analyze(trace).graph
 
 
 def resolve_lock(trace: Trace, lock: int | str) -> int:

@@ -19,7 +19,6 @@ __all__ = [
     "SyncUsageError",
     "AnalysisError",
     "WakerResolutionError",
-    "ShardError",
     "WorkloadError",
     "ServiceError",
     "CheckError",
@@ -86,16 +85,6 @@ class AnalysisError(ReproError):
 
 class WakerResolutionError(AnalysisError):
     """No waker could be determined for a blocking event in the trace."""
-
-
-class ShardError(AnalysisError):
-    """Sharded analysis could not reproduce the sequential result.
-
-    Raised when shard stitching detects an inconsistency at a cut point
-    (e.g. a shard's walk fell off a thread that is not the cut anchor).
-    The analyzer catches it and falls back to the sequential pass; the
-    differential oracle runs strict and reports it instead.
-    """
 
 
 class WorkloadError(ReproError):

@@ -38,8 +38,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.segments import build_timelines
-from repro.core.wakers import resolve_wakers
+from repro.core.columnar.timelines import object_structures
+from repro.core.model import ThreadTimeline
+from repro.core.wakers import WakerTable
 from repro.errors import AnalysisError
 from repro.sim.program import Program
 from repro.trace.events import Event, EventType, ObjectKind
@@ -215,10 +216,19 @@ class ReplayProgram:
         return self.build(**kwargs).run()
 
 
-def reconstruct(trace: Trace) -> ReplayProgram:
-    """Rebuild per-thread scripts from a trace (see module docstring)."""
-    wakers = resolve_wakers(trace)
-    timelines = build_timelines(trace, wakers)
+def reconstruct(
+    trace: Trace,
+    timelines: dict[int, ThreadTimeline] | None = None,
+    wakers: WakerTable | None = None,
+) -> ReplayProgram:
+    """Rebuild per-thread scripts from a trace (see module docstring).
+
+    Pass the ``timelines`` and ``wakers`` of an existing analysis of
+    ``trace`` to reuse them; otherwise both are built here, without
+    validating the trace.
+    """
+    if timelines is None or wakers is None:
+        timelines, wakers = object_structures(trace)
     wake_seqs: set[int] = {
         w.wake_seq for tl in timelines.values() for w in tl.waits
     }

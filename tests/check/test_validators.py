@@ -22,6 +22,7 @@ from repro.check.interp import run_spec
 from repro.check.mutate import MUTATIONS, single_row_mutants
 from repro.check.refvalidate import reference_trace_problems
 from repro.core.analyzer import analyze
+from repro.core.whatif import predict_no_contention, predict_shrink
 from repro.errors import TraceValidationError
 from repro.trace.validate import trace_problems
 from repro.workloads import get_workload
@@ -90,6 +91,23 @@ def test_flagged_mutants_are_rejected_by_default(mutants):
         assert exc_info.value.problems == ref, m.label
 
 
+def test_flagged_mutants_are_rejected_by_the_dag_whatif(mutants):
+    """Without a prebuilt graph the DAG what-ifs validate like
+    ``analyze``: no shrink or no-contention answer for a malformed
+    trace."""
+    for m, ref in mutants:
+        if not ref:
+            continue
+        lock = m.trace.locks[0].obj
+        for predict in (
+            lambda: predict_shrink(m.trace, lock, 0.5),
+            lambda: predict_no_contention(m.trace, lock),
+        ):
+            with pytest.raises(TraceValidationError) as exc_info:
+                predict()
+            assert exc_info.value.problems == ref, m.label
+
+
 def test_oracle_flags_a_diverging_validator(monkeypatch):
     trace = run_spec(generate_spec(0)).trace
     assert check_trace(trace) == []
@@ -103,3 +121,12 @@ def test_oracle_flags_skipped_validation(monkeypatch):
     monkeypatch.setattr("repro.core.analyzer.validate_trace", lambda t: None)
     ids = {d.invariant for d in check_trace(trace)}
     assert "malformed-rejected" in ids
+
+
+def test_oracle_flags_an_unvalidated_whatif(monkeypatch):
+    from repro.core.dag import build_event_graph
+
+    trace = run_spec(generate_spec(0)).trace
+    monkeypatch.setattr("repro.core.whatif._validated_graph", build_event_graph)
+    details = [d.detail for d in check_trace(trace) if d.invariant == "malformed-rejected"]
+    assert details and all("predict_shrink" in d for d in details)

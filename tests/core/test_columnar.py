@@ -1,14 +1,15 @@
 """Columnar-engine guarantees beyond plain output equivalence.
 
-The bit-identity of the two engines is pinned by the golden-report
-tests, the shard-equivalence suite and the oracle's ``engine-equiv``
-invariant.  This file covers the remaining columnar contracts:
+The bit-identity of ``analyze`` and the per-event reference pipeline
+(:mod:`repro.check.refengine`) is pinned by the golden-report tests and
+the oracle's ``engine-equiv`` invariant.  This file covers the
+remaining columnar contracts:
 
 * the hot path really is columnar — analyzing a trace allocates no
   per-event Python objects (``Event``/``Wait``/``HoldInterval``);
 * equal-timestamp pile-ups (the regime zero-duration waits live in)
-  analyze identically under both engines and neither emits a
-  zero-duration ``Wait``;
+  analyze identically under ``analyze`` and the reference, and neither
+  emits a zero-duration ``Wait``;
 * the vectorized ``observe_batch`` kernel reproduces per-event
   ``observe`` exactly, at every chunking.
 """
@@ -18,7 +19,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.analyzer import ENGINES, analyze
+from repro.check.refengine import reference_analyze
+from repro.core.analyzer import analyze
 from repro.core.online import OnlineAnalyzer
 from repro.workloads import SyntheticLocks
 
@@ -32,7 +34,7 @@ def _synthetic_trace(ops=400, seed=3):
 
 
 def _bench_trace():
-    """benchmarks/bench_shard.py's --quick trace (same generator and
+    """benchmarks/bench_columnar.py's --quick trace (same generator and
     shape as the 216k-event full bench trace, scaled to test budget;
     the zero-allocation property below is size-independent, and the
     full trace is exercised by the CI bench-columnar job)."""
@@ -49,7 +51,7 @@ def test_columnar_path_builds_no_per_event_objects():
     analyze+render must charge nothing to the per-event object
     modules."""
     trace = _bench_trace()
-    per_event_files = ("trace/schema.py", "core/model.py", "core/segments.py",
+    per_event_files = ("trace/schema.py", "core/model.py", "check/refengine.py",
                       "core/wakers.py", "core/critical_path.py")
 
     analyze(trace, validate=False).render(10)  # warm up
@@ -74,14 +76,15 @@ def test_columnar_path_builds_no_per_event_objects():
 
 
 def test_object_engine_does_allocate_per_event_objects():
-    """Sanity check that the probe above has teeth: the object engine
-    *does* allocate in the per-event modules under identical tracing."""
+    """Sanity check that the probe above has teeth: the per-event
+    reference pipeline *does* allocate in the per-event modules under
+    identical tracing."""
     trace = _synthetic_trace(ops=100)
-    analyze(trace, validate=False, engine="object").render(10)  # warm up
+    reference_analyze(trace).render(10)  # warm up
 
     tracemalloc.start()
     try:
-        analyze(trace, validate=False, engine="object").render(10)
+        reference_analyze(trace).render(10)
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -90,30 +93,34 @@ def test_object_engine_does_allocate_per_event_objects():
         stat
         for stat in snapshot.statistics("filename")
         if stat.traceback[0].filename.replace("\\", "/").endswith(
-            ("core/model.py", "core/segments.py"))
+            ("core/model.py", "check/refengine.py"))
     ]
-    assert hits, "object engine unexpectedly allocation-free in model/segments"
+    assert hits, "reference pipeline unexpectedly allocation-free in model/refengine"
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_equal_timestamp_traces_agree_across_engines(seed):
     """Property test over fuzzed programs: the generator makes ~35% of
     computes zero-duration, deliberately manufacturing equal-timestamp
-    acquire/obtain/release pile-ups.  Both engines must render the same
-    bytes and drop every zero-duration wait."""
+    acquire/obtain/release pile-ups.  ``analyze`` and the reference
+    pipeline must render the same bytes and drop every zero-duration
+    wait."""
     from repro.check.generator import generate_spec
     from repro.check.interp import run_spec
 
     trace = run_spec(generate_spec(seed)).trace
-    results = {e: analyze(trace, validate=False, engine=e) for e in ENGINES}
+    results = {
+        "columnar": analyze(trace, validate=False),
+        "reference": reference_analyze(trace),
+    }
 
-    a, b = (results[e] for e in ENGINES)
+    a, b = results.values()
     assert a.render(None) == b.render(None)
     assert a.critical_path.pieces == b.critical_path.pieces
-    for res in results.values():
+    for name, res in results.items():
         for tl in res.timelines.values():
             assert all(w.duration > 0 for w in tl.waits), (
-                f"zero-duration wait survived in {res.engine} engine"
+                f"zero-duration wait survived in the {name} pipeline"
             )
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.critical_path import compute_critical_path
+from repro.check.refengine import compute_critical_path
 from repro.core.dag import build_event_graph
 from repro.trace.events import EventType
 from repro.workloads import MicroBenchmark, SyntheticLocks

@@ -114,6 +114,37 @@ def test_forecast_matrix_shares_baseline(micro_trace):
     assert out[0].baseline_report is out[1].baseline_report
 
 
+def test_forecast_matrix_analyzes_the_trace_once(micro_trace, monkeypatch):
+    """The baseline analysis also feeds the program reconstruction: the
+    input trace is analyzed once per matrix (each replayed prediction
+    once more) and no timelines or wakers are rebuilt for the replay."""
+    import sys
+
+    import repro.replay
+
+    # ``repro.core.replay_whatif`` the attribute is the function.
+    rw = sys.modules["repro.core.replay_whatif"]
+    analyzed = []
+
+    def counting_analyze(trace, validate=True):
+        analyzed.append(trace)
+        return analyze(trace, validate=validate)
+
+    def rebuilt(trace):
+        raise AssertionError("reconstruct rebuilt the timelines")
+
+    monkeypatch.setattr(rw, "analyze", counting_analyze)
+    monkeypatch.setattr(repro.replay, "object_structures", rebuilt)
+    out = forecast_matrix(
+        micro_trace, protocols=["fifo", "priority"], schedulers=["fifo"]
+    )
+    assert sum(t is micro_trace for t in analyzed) == 1
+    assert len(analyzed) == 1 + len(out)
+    analyzed.clear()
+    replay_whatif(micro_trace, protocol="priority")
+    assert sum(t is micro_trace for t in analyzed) == 1
+
+
 def test_forecast_matrix_default_excludes_recorded(micro_trace):
     out = forecast_matrix(micro_trace, schedulers=["fifo"])
     assert all(fc.protocol != "recorded" for fc in out)

@@ -1,7 +1,7 @@
 """Timeline construction: waits, holds, creation links, skip rules."""
 
+from repro.check.refengine import build_timelines
 from repro.core.model import WaitKind
-from repro.core.segments import build_timelines
 from repro.trace.builder import TraceBuilder
 from repro.trace.events import EventType
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.wakers import resolve_wakers
+from repro.check.refengine import resolve_wakers
 from repro.errors import WakerResolutionError
 from repro.trace.builder import TraceBuilder
 from repro.trace.events import Event, EventType, ObjectKind

@@ -2,7 +2,7 @@
 
 Checked-in rendered reports for two representative workloads — the
 paper's hand-checkable ``micro`` example and the barrier-heavy
-``radiosity`` simulation (which engages the sharded analyzer) — pin the
+``radiosity`` simulation — pin the
 full text of ``AnalysisResult.render`` so that any change to metrics,
 ordering, or formatting shows up as a readable diff instead of a silent
 drift.  Regenerate after an intentional change with::
@@ -21,8 +21,9 @@ import sys
 import pytest
 
 import repro
+from repro.check.refengine import reference_analyze
 from repro.cli import main
-from repro.core.analyzer import ENGINES, analyze
+from repro.core.analyzer import analyze
 from repro.trace.writer import write_trace
 from repro.workloads import get_workload
 
@@ -53,11 +54,15 @@ SAMPLED_RATE = 0.1
 SAMPLED_SEED = 10
 
 
-def render_case(case: str, engine: str = "columnar") -> str:
+#: ``analyze`` (the columnar engine) and the per-event reference pipeline.
+PIPELINES = {"columnar": analyze, "object": reference_analyze}
+
+
+def render_case(case: str, pipeline: str = "columnar") -> str:
     """The exact text the CLI prints for ``analyze`` on this case."""
     workload, params, nthreads, seed = CASES[case]
     trace = get_workload(workload)(**params).run(nthreads=nthreads, seed=seed).trace
-    return analyze(trace, engine=engine).render(10)
+    return PIPELINES[pipeline](trace).render(10)
 
 
 def render_sampled_case(case: str) -> str:
@@ -77,13 +82,14 @@ def _golden(case: str) -> str:
     return path.read_text()
 
 
-# Both engines are checked against the *same* golden file: matching it
-# byte for byte from either side is the bit-identity contract of
-# docs/algorithm.md, pinned here at the rendered-report level.
-@pytest.mark.parametrize("engine", ENGINES)
+# ``analyze`` and the repro.check reference are checked against the
+# *same* golden file: matching it byte for byte from either side is the
+# bit-identity contract of docs/algorithm.md, pinned here at the
+# rendered-report level.
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_matches_golden(case, engine):
-    assert render_case(case, engine) == _golden(case)
+def test_report_matches_golden(case, pipeline):
+    assert render_case(case, pipeline) == _golden(case)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -129,14 +135,6 @@ def test_cli_analyze_matches_golden(case, tmp_path, capsys):
     write_trace(trace, str(path))
 
     assert main(["analyze", str(path)]) == 0
-    assert capsys.readouterr().out == _golden(case) + "\n"
-
-    # Sharded analysis must print the very same bytes.
-    assert main(["analyze", str(path), "--jobs", "4"]) == 0
-    assert capsys.readouterr().out == _golden(case) + "\n"
-
-    # As must the object-engine escape hatch.
-    assert main(["analyze", str(path), "--engine", "object"]) == 0
     assert capsys.readouterr().out == _golden(case) + "\n"
 
 

@@ -135,6 +135,35 @@ class TestJobs:
         assert status == 500
         assert err["error"]
 
+    def test_whatif_on_invalid_upload_fails_validation(self, api, tmp_path):
+        """A what-if job validates its trace like an analyze job: every
+        malformed mutant of a SyntheticLocks trace ends ``failed`` with
+        the validator's message, never with a prediction."""
+        from repro.check.mutate import single_row_mutants
+        from repro.check.refvalidate import reference_trace_problems
+        from repro.workloads import SyntheticLocks
+
+        trace = SyntheticLocks(ops_per_thread=40, nlocks=3).run(nthreads=3, seed=5).trace
+        lock = trace.locks[0].display_name
+        flagged = 0
+        for i, m in enumerate(single_row_mutants(trace, 24, seed=5)):
+            problems = reference_trace_problems(m.trace)
+            if not problems:
+                continue
+            flagged += 1
+            body = write_trace(m.trace, tmp_path / f"m{i}.clt").read_bytes()
+            status, entry = api.handle("POST", "/traces", body)
+            assert status == 201, entry
+            job = submit(
+                api,
+                {"kind": "whatif", "trace": entry["digest"],
+                 "params": {"lock": lock, "factor": 0.5}},
+            )
+            assert job["state"] == "failed", m.label
+            assert "TraceValidationError: invalid trace:" in job["error"], m.label
+            assert problems[0] in job["error"], m.label
+        assert flagged >= 12
+
     def test_failed_jobs_never_cached(self, api, micro_bytes):
         _, entry = api.handle("POST", "/traces", micro_bytes)
         body = {"kind": "whatif", "trace": entry["digest"], "params": {"lock": "NOPE"}}

@@ -81,6 +81,22 @@ class TestCLIErrors:
         assert main(["analyze", str(path)]) == 1
         assert "invalid trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["whatif", "{path}", "L1"], ["replay", "{path}"]]
+    )
+    def test_whatif_and_replay_validate_the_trace(self, tmp_path, capsys, argv):
+        from repro.trace import write_trace
+
+        b = TraceBuilder()
+        t = b.thread()
+        lock = b.mutex("L1")
+        t.start(at=0.0)
+        t.acquire(lock, at=1.0)  # never released
+        t.exit(at=3.0)
+        path = write_trace(b.build(validate=False), tmp_path / "bad.clt")
+        assert main([a.format(path=path) for a in argv]) == 1
+        assert "invalid trace" in capsys.readouterr().err
+
     def test_analyze_no_validate_succeeds(self, tmp_path, capsys):
         from repro.trace import write_trace
 
