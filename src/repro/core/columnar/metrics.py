@@ -5,9 +5,16 @@ Bit-identity constrains the implementation everywhere floats are summed:
 the reference pipeline accumulates left to right, and IEEE addition is not
 associative, so every per-group total here is a sequential ``np.cumsum``
 (empirically identical to a Python ``sum`` loop), never ``np.sum`` /
-``np.add.reduceat`` (pairwise summation).  The hold/critical-path
-overlap sweep accumulates per hold in piece order via a multiplicity
-loop for the same reason.
+``np.add.reduceat`` (pairwise summation).
+
+The reference loops over locks × threads; this module visits only the
+``(tid, obj)`` hold groups that exist, each lock's in tid order.  A
+missing group adds ``+ 0`` to every reference accumulator, so skipping
+it changes no bit.  A group's three float totals (hold time, wait time,
+critical-path overlap) come from one ``np.cumsum`` over its rows of the
+stacked columns, its counts from one integer ``reduceat`` for all
+groups.  The critical-path overlap is computed once per thread over all
+of its holds: a hold's overlap depends only on the thread's pieces.
 """
 
 from __future__ import annotations
@@ -30,14 +37,11 @@ def _exact_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def _overlap_group(
-    h_s: np.ndarray,
-    h_e: np.ndarray,
-    contended: np.ndarray,
-    p_s: np.ndarray,
-    p_e: np.ndarray,
-) -> tuple[float, int, int]:
-    """Vectorized :func:`repro.core.metrics._hold_cp_overlap`.
+def _hold_overlaps(
+    h_s: np.ndarray, h_e: np.ndarray, p_s: np.ndarray, p_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`repro.core.metrics._hold_cp_overlap`, per hold:
+    its critical-path overlap and whether it is on the path.
 
     Pieces are disjoint and sorted, so the reference pipeline's persistent
     two-pointer window for hold ``h`` is exactly ``[searchsorted(p_end,
@@ -57,13 +61,7 @@ def _overlap_group(
             np.minimum(h_e[sel], p_e[idx]) - np.maximum(h_s[sel], p_s[idx]),
         )
         acc[sel] = acc[sel] + term
-    zero = h_e == h_s
-    on_cp = (acc > 0) | (zero & (k > 0))
-    return (
-        _exact_sum(acc),
-        int(np.count_nonzero(on_cp)),
-        int(np.count_nonzero(on_cp & contended)),
-    )
+    return acc, (acc > 0) | ((h_e == h_s) & (k > 0))
 
 
 def compute_metrics_columnar(
@@ -74,66 +72,56 @@ def compute_metrics_columnar(
     """TYPE 1 / TYPE 2 statistics for every lock-like object in the trace."""
     nthreads = max(1, len(ct.tids))
     cp_length = cp.length
-    pieces_by_thread = cp.pieces_by_thread()
-    piece_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for tid, plist in pieces_by_thread.items():
-        plist.sort(key=lambda p: (p.start, p.end))
-        piece_arrays[tid] = (
-            np.fromiter((p.start for p in plist), dtype=np.float64, count=len(plist)),
-            np.fromiter((p.end for p in plist), dtype=np.float64, count=len(plist)),
-        )
     lock_crossings: dict[int, int] = {}
     for j in cp.junctions:
         if j.kind == WaitKind.LOCK:
             lock_crossings[j.obj] = lock_crossings.get(j.obj, 0) + 1
 
-    durations = ct.h_end - ct.h_start
-    hold_waits = ct.h_start - ct.h_acquire
-    lifetimes = ct.t_end - ct.t_start
+    overlap = np.zeros(len(ct.h_tid), dtype=np.float64)
+    on_cp = np.zeros(len(ct.h_tid), dtype=bool)
+    for tid, plist in cp.pieces_by_thread().items():
+        lo, hi = np.searchsorted(ct.h_tid, [tid, tid + 1]).tolist()
+        if hi > lo:
+            plist.sort(key=lambda p: (p.start, p.end))
+            n = len(plist)
+            overlap[lo:hi], on_cp[lo:hi] = _hold_overlaps(
+                ct.h_start[lo:hi],
+                ct.h_end[lo:hi],
+                np.fromiter((p.start for p in plist), dtype=np.float64, count=n),
+                np.fromiter((p.end for p in plist), dtype=np.float64, count=n),
+            )
+
+    groups = list(ct.hold_groups.items())  # in (tid, obj) order
+    by_obj: dict[int, list[int]] = {}  # lock -> its groups, in tid order
+    for g, ((_, obj), _) in enumerate(groups):
+        by_obj.setdefault(obj, []).append(g)
+    starts = np.array([lo for _, (lo, _) in groups], dtype=np.int64)
+    cont, n_on_cp, c_on_cp = (
+        np.add.reduceat(m.astype(np.int64), starts).tolist()
+        for m in (ct.h_contended, on_cp, on_cp & ct.h_contended)
+    )
+    columns = np.column_stack((ct.h_end - ct.h_start, ct.h_start - ct.h_acquire, overlap))
+    lifetimes = dict(zip(ct.tids.tolist(), (ct.t_end - ct.t_start).tolist()))
 
     out: dict[int, LockMetrics] = {}
     for info in trace.locks:
         obj = info.obj
-        cp_hold = 0.0
-        inv_on_cp = 0
-        cont_on_cp = 0
-        total_inv = 0
-        cont_inv = 0
-        total_wait = 0.0
-        total_hold = 0.0
-        wait_fracs = 0.0
-        hold_fracs = 0.0
-        for i, t in enumerate(ct.tids):
-            tid = int(t)
-            group = ct.hold_groups.get((tid, obj))
-            if group is None:
-                t_hold = 0.0
-                t_wait = 0.0
-            else:
-                lo, hi = group
-                t_hold = _exact_sum(durations[lo:hi])
-                t_wait = _exact_sum(hold_waits[lo:hi])
-                total_inv += hi - lo
-                cont_inv += int(np.count_nonzero(ct.h_contended[lo:hi]))
+        cp_hold = total_wait = total_hold = wait_fracs = hold_fracs = 0.0
+        inv_on_cp = cont_on_cp = total_inv = cont_inv = 0
+        for g in by_obj.get(obj, ()):
+            (tid, _), (a, b) = groups[g]
+            t_hold, t_wait, o = np.cumsum(columns[a:b], axis=0)[-1].tolist()
+            total_inv += b - a
+            cont_inv += cont[g]
             total_hold += t_hold
             total_wait += t_wait
-            lifetime = float(lifetimes[i])
+            lifetime = lifetimes[tid]
             if lifetime > 0:
                 wait_fracs += t_wait / lifetime
                 hold_fracs += t_hold / lifetime
-            pieces = piece_arrays.get(tid)
-            if pieces is not None and group is not None and group[1] > group[0]:
-                lo, hi = group
-                o, cnt, c = _overlap_group(
-                    ct.h_start[lo:hi],
-                    ct.h_end[lo:hi],
-                    ct.h_contended[lo:hi],
-                    pieces[0],
-                    pieces[1],
-                )
-                cp_hold += o
-                inv_on_cp += cnt
-                cont_on_cp += c
+            cp_hold += o
+            inv_on_cp += n_on_cp[g]
+            cont_on_cp += c_on_cp[g]
         avg_inv = total_inv / nthreads
         avg_hold_frac = hold_fracs / nthreads
         cp_frac = cp_hold / cp_length if cp_length > 0 else 0.0

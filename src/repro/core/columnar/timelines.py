@@ -318,7 +318,7 @@ def build_timelines_columnar(
     ct.h_end = h_end[horder]
     ct.h_contended = h_cont[horder]
     ct.h_acquire = h_acq[horder]
-    _index_hold_groups(ct, h_rank[horder], n)
+    _index_hold_groups(ct, h_rank[horder])
     return ct
 
 
@@ -340,27 +340,22 @@ def _spans_for(tids: np.ndarray, sorted_item_tid: np.ndarray) -> tuple[np.ndarra
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _index_hold_groups(ct: ColumnarTimelines, sorted_rank: np.ndarray, n: int) -> None:
+def _index_hold_groups(ct: ColumnarTimelines, sorted_rank: np.ndarray) -> None:
     """Build the (tid, obj) group ranges and the ``tl.holds`` key order.
 
     The reference pipeline inserts a lock into ``tl.holds`` at its first
     RELEASE (``setdefault``) and appends leftover-only locks afterwards
-    in first-OBTAIN order — reproduced via each group's minimum
-    insertion rank, split on matched (< n) vs leftover (>= n) ranks.
+    in first-OBTAIN order.  Matched holds rank below every leftover one,
+    so that order is each group's minimum insertion rank: one
+    ``np.minimum.reduceat`` and one sort for all groups.
     """
-    ct.hold_groups = {}
-    if len(ct.h_tid):
-        starts, _ = group_bounds(dense_keys(ct.h_tid, ct.h_obj))
-        b = np.append(starts, len(ct.h_tid)).tolist()
-        ct.hold_groups = {
-            (int(ct.h_tid[lo]), int(ct.h_obj[lo])): (lo, hi) for lo, hi in zip(b, b[1:])
-        }
-    ct.hold_obj_order = {}
-    order_keys: dict[int, list[tuple[int, int, int]]] = {}
-    for (t, o), (lo, hi) in ct.hold_groups.items():
-        ranks = sorted_rank[lo:hi]
-        matched = ranks[ranks < n]
-        key = (0, int(matched.min())) if len(matched) else (1, int(ranks.min()) - n)
-        order_keys.setdefault(t, []).append((*key, o))
-    for t, entries in order_keys.items():
-        ct.hold_obj_order[t] = [o for _, _, o in sorted(entries)]
+    ct.hold_groups, ct.hold_obj_order = {}, {}
+    if not len(ct.h_tid):
+        return
+    starts, _ = group_bounds(dense_keys(ct.h_tid, ct.h_obj))
+    b = np.append(starts, len(ct.h_tid)).tolist()
+    g_tid, g_obj = ct.h_tid[starts], ct.h_obj[starts]
+    ct.hold_groups = dict(zip(zip(g_tid.tolist(), g_obj.tolist()), zip(b, b[1:])))
+    order = lex_order(g_tid, np.minimum.reduceat(sorted_rank, starts))
+    for t, o in zip(g_tid[order].tolist(), g_obj[order].tolist()):
+        ct.hold_obj_order.setdefault(t, []).append(o)

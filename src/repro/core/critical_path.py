@@ -19,6 +19,7 @@ module holds its result types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.model import CPPiece, Junction, Wait, WaitKind
 
@@ -40,9 +41,10 @@ class CriticalPath:
     waits: list[Wait]
     trace_duration: float
 
-    @property
+    @cached_property
     def length(self) -> float:
-        """Sum of piece durations — the critical path length."""
+        """Sum of piece durations — the critical path length (summed once;
+        the path is immutable)."""
         return sum(p.duration for p in self.pieces)
 
     @property

@@ -4,11 +4,14 @@ Two paths produce observations:
 
 * :class:`FleetIngestor` — a single daemon thread the service owns.
   Every trace-store write (upload or finalized stream session) enqueues
-  the stored entry; the thread analyzes it off the request path and
-  folds the result into the aggregator (a writer that already analyzed
-  the trace, like ``finalize(analyze=True)``, hands over its report).
-  Each digest is analyzed at most once ever — the observation persists
-  in fleet state, so a service restart does not re-analyze the store.
+  the stored entry and its report, which the thread folds into the
+  aggregator off the request path.  It does not analyze uploads: an
+  upload hands over the future of the pooled ``analyze`` run the service
+  starts for it, ``finalize(analyze=True)`` its own report.  Only an
+  entry without one (an unvalidated finalize, an upload to a service
+  without workers) is analyzed here.  Each digest is analyzed at most
+  once ever — the observation persists in fleet state, so a service
+  restart does not re-analyze the store.
 * :func:`ingest_store` — synchronous catch-up over a whole trace store
   (the ``fleet`` CLI working against a data directory, or a service
   that inherited a store populated before fleet observability existed).
@@ -22,6 +25,7 @@ import logging
 import queue
 import threading
 import time
+from concurrent.futures import Future
 from typing import Any
 
 from repro.errors import ReproError
@@ -109,12 +113,14 @@ class FleetIngestor:
     def enqueue(
         self,
         entry,
-        report: dict[str, Any] | None = None,
+        report: dict[str, Any] | Future | None = None,
         meta: dict[str, Any] | None = None,
     ) -> None:
         """Schedule one stored trace for aggregation (idempotent by digest).
 
-        ``report``/``meta`` as for :func:`observe_stored_trace`.
+        ``report``/``meta`` as for :func:`observe_stored_trace`; ``report``
+        may also be a :class:`~concurrent.futures.Future` of one, which the
+        ingest thread waits for (a failed analysis counts as an error).
         """
         if not self._closed:
             self._queue.put((entry, report, meta))
@@ -142,6 +148,8 @@ class FleetIngestor:
                 if item is None:
                     return
                 entry, report, meta = item
+                if isinstance(report, Future):
+                    report = report.result()  # the upload's pooled analysis
                 t0 = time.perf_counter()
                 obs = observe_stored_trace(
                     self.aggregator, entry, report=report, meta=meta

@@ -48,12 +48,16 @@ Storage is pluggable (:mod:`repro.service.backend`): ``backend=`` (an
 instance or a ``serve --backend`` spec string) routes the trace store
 and result cache through shared object storage; the default keeps the
 original private local-disk layout.
+
+Jobs are single-flight on their cache key: a job whose key is running
+joins that run, as the caller's ``analyze`` of an upload joins the one
+``POST /traces`` starts for fleet ingest.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -72,6 +76,17 @@ from repro.service.store import TraceStore
 from repro.service.stream import StreamStore
 
 __all__ = ["ServiceAPI"]
+
+
+class _Flight:
+    """One pooled run: the jobs sharing it and the future its outcome
+    settles (fleet ingest of an upload waits on that)."""
+
+    def __init__(self, cache: bool):
+        self.cache = cache  # store the result under the run id, a cache key
+        self.jobs: list[str] = []
+        self.started = False
+        self.outcome: Future = Future()
 
 
 class ServiceAPI:
@@ -126,7 +141,8 @@ class ServiceAPI:
         # short-lived request threads, each one grows its own malloc arena
         # to a full analysis's peak, and the process RSS with them.
         self._finalizer = ThreadPoolExecutor(1, thread_name_prefix="finalize")
-        self._cache_keys: dict[str, str] = {}  # job id -> cache key
+        # Run id (the cache key; the job id for uncached kinds) -> its run.
+        self._flights: dict[str, _Flight] = {}
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)
         self.pool = WorkerPool(
@@ -135,9 +151,11 @@ class ServiceAPI:
 
     def close(self) -> None:
         self._finalizer.shutdown()
+        self.pool.close()
+        for run_id in list(self._flights):  # fleet ingest may wait on them
+            self._on_pool_event("error", run_id, "service closed before the job ran")
         self.fleet_ingestor.close()
         self.streams.close()
-        self.pool.close()
 
     def __enter__(self):
         return self
@@ -166,8 +184,11 @@ class ServiceAPI:
 
         match (method, parts):
             case ("POST", ["traces"]):
-                entry = self.store.put_bytes(body, name=query.get("name"))
-                self.fleet_ingestor.enqueue(entry)
+                trace = self.store.parse_upload(body)
+                entry = self.store.put_trace(trace, name=query.get("name"))
+                self.fleet_ingestor.enqueue(
+                    entry, report=self._upload_analysis(entry), meta=trace.meta
+                )
                 return 201, entry.to_dict()
             case ("GET", ["traces"]):
                 return 200, {"traces": [e.to_dict() for e in self.store.list()]}
@@ -384,20 +405,40 @@ class ServiceAPI:
         paths = self.store.resolve(spec.digests)  # 404s before queuing
         job = self.jobs.create(spec)
         self.metrics.count_submitted(kind)
-
-        if not fleet_kind:
-            key = spec.cache_key()
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.jobs.mark_done(job.id, cached, cached=True)
-                self.metrics.count_cached(kind)
-                with self._done:
-                    self._done.notify_all()
-                return self.jobs.get(job.id).to_dict()
-            with self._lock:
-                self._cache_keys[job.id] = key
-        self.pool.submit(job.id, spec.kind, paths, spec.params)
+        self._run(spec, paths, job.id, cache=not fleet_kind)
         return self.jobs.get(job.id).to_dict()
+
+    def _run(
+        self, spec: JobSpec, paths: list[str], job_id: str | None = None, cache: bool = True
+    ) -> Future | dict:
+        """Put job ``job_id`` (None: an internal run) on the one run of
+        ``spec``: join the in-flight run of its cache key, else answer from
+        the cache (returns the result), else start a run (returns its
+        outcome).  Uncached kinds always start a run."""
+        run_id = spec.cache_key() if cache else job_id
+        if cache and run_id not in self._flights:
+            cached = self.cache.get(run_id)
+            if cached is not None:
+                if job_id is not None:
+                    self.jobs.mark_done(job_id, cached, cached=True)
+                    self.metrics.count_cached(spec.kind)
+                    with self._done:
+                        self._done.notify_all()
+                return cached
+        with self._lock:
+            flight = self._flights.get(run_id)
+            new = flight is None
+            if new:
+                flight = self._flights[run_id] = _Flight(cache)
+            if job_id is not None:
+                flight.jobs.append(job_id)
+            started = flight.started
+        if started and job_id is not None:
+            self.jobs.mark_running(job_id)
+        if new:
+            self.metrics.count_run(spec.kind)
+            self.pool.submit(run_id, spec.kind, paths, spec.params)
+        return flight.outcome
 
     def wait(self, job_id: str, timeout: float = 60.0) -> dict[str, Any]:
         """Block until a job finishes (in-process convenience; HTTP polls)."""
@@ -430,6 +471,15 @@ class ServiceAPI:
                      "result": job.result}
 
     # -- fleet observability ---------------------------------------------------
+
+    def _upload_analysis(self, entry) -> Future | dict | None:
+        """The default ``analyze`` run fleet ingest observes an upload by.
+        None leaves the work to the fleet thread: an observed digest needs
+        none, and an inline pool would run it on the upload request."""
+        if self.pool.inline or self.fleet.has(entry.digest):
+            return None
+        spec = JobSpec("analyze", (entry.digest,), {})
+        return self._run(spec, self.store.resolve(spec.digests))
 
     def flush_fleet(self, timeout: float = 30.0) -> bool:
         """Wait for pending fleet ingestion (tests, graceful drains)."""
@@ -496,24 +546,31 @@ class ServiceAPI:
 
     # -- pool event sink (collector thread) ------------------------------------
 
-    def _on_pool_event(self, event: str, job_id: str, payload: Any) -> None:
+    def _on_pool_event(self, event: str, run_id: str, payload: Any) -> None:
+        flight = self._flights[run_id]
         if event == "start":
-            self.jobs.mark_running(job_id)
-            return
-        if event == "done":
-            job = self.jobs.mark_done(job_id, payload)
-            if job is not None:
-                with self._lock:
-                    key = self._cache_keys.pop(job_id, None)
-                if key is not None:
-                    self.cache.put(key, payload)
-                if job.latency is not None:
-                    self.metrics.count_completed(job.spec.kind, job.latency)
-        else:  # error / crashed
-            job = self.jobs.mark_failed(job_id, str(payload))
-            if job is not None:
-                self.metrics.count_failed(job.spec.kind)
             with self._lock:
-                self._cache_keys.pop(job_id, None)
+                flight.started = True
+                jobs = list(flight.jobs)
+            for job_id in jobs:
+                self.jobs.mark_running(job_id)
+            return
+        if event == "done" and flight.cache:
+            self.cache.put(run_id, payload)  # before the pop: no second run
+        with self._lock:
+            del self._flights[run_id]  # no job joins after this
+        for job_id in flight.jobs:
+            if event == "done":
+                job = self.jobs.mark_done(job_id, payload)
+                if job is not None and job.latency is not None:
+                    self.metrics.count_completed(job.spec.kind, job.latency)
+            else:  # error / crashed
+                job = self.jobs.mark_failed(job_id, str(payload))
+                if job is not None:
+                    self.metrics.count_failed(job.spec.kind)
+        if event == "done":
+            flight.outcome.set_result(payload)
+        else:
+            flight.outcome.set_exception(ServiceError(str(payload)))
         with self._done:
             self._done.notify_all()

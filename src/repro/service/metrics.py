@@ -76,6 +76,7 @@ class ServiceMetrics:
         self.submitted: dict[str, int] = {}
         self.completed: dict[str, int] = {}
         self.failed: dict[str, int] = {}
+        self.runs: dict[str, int] = {}  # pooled runs; joined jobs share one
         self.cache_short_circuits = 0  # jobs answered at submit time
         self.redirected: dict[str, int] = {}  # jobs routed to their ring owner
         self.requests = 0
@@ -104,6 +105,10 @@ class ServiceMetrics:
     def count_submitted(self, kind: str) -> None:
         with self._lock:
             self.submitted[kind] = self.submitted.get(kind, 0) + 1
+
+    def count_run(self, kind: str) -> None:
+        with self._lock:
+            self.runs[kind] = self.runs.get(kind, 0) + 1
 
     def count_cached(self, kind: str) -> None:
         with self._lock:
@@ -179,6 +184,7 @@ class ServiceMetrics:
                     "submitted": dict(self.submitted),
                     "completed": dict(self.completed),
                     "failed": dict(self.failed),
+                    "runs": dict(self.runs),
                     "cache_short_circuits": self.cache_short_circuits,
                     "redirected": dict(self.redirected),
                 },

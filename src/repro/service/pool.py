@@ -8,7 +8,9 @@ server needs the opposite: the *job* fails, the *pool* survives.  This
 pool owns its workers directly: a shared task queue fans jobs out, a
 result queue carries ``claim``/``done``/``error`` messages back, and a
 collector thread doubles as supervisor — it notices dead workers, fails
-the job they had claimed, and respawns a replacement.
+the job they had claimed, and respawns a replacement.  The collector
+sleeps in :func:`multiprocessing.connection.wait` on the result pipe and
+on every worker's ``sentinel``, so a result or a death wakes it at once.
 
 Events are delivered to a single ``on_event(event, job_id, payload)``
 callback (from the collector thread):
@@ -29,6 +31,7 @@ import multiprocessing as mp
 import os
 import threading
 import traceback
+from multiprocessing.connection import wait
 from typing import Any, Callable
 
 from repro.errors import ServiceError
@@ -39,8 +42,6 @@ __all__ = ["WorkerPool", "DEFAULT_START_METHOD"]
 #: ``spawn`` everywhere: ``fork`` from a process that already runs the
 #: collector + HTTP threads can clone held locks into the child.
 DEFAULT_START_METHOD = "spawn"
-
-_POLL_INTERVAL = 0.02  # seconds between result-queue polls / liveness checks
 
 
 def _worker_main(task_q, result_q) -> None:  # pragma: no cover — child process
@@ -97,7 +98,6 @@ class WorkerPool:
         self._results = self._ctx.SimpleQueue()
         self._procs: list = [self._spawn() for _ in range(workers)]
         self._claims: dict[int, str] = {}  # worker pid -> in-flight job id
-        self._stop = threading.Event()
         self._collector = threading.Thread(
             target=self._collect, name="pool-collector", daemon=True
         )
@@ -133,15 +133,16 @@ class WorkerPool:
         self._closed = True
         if self.inline:
             return
-        for _ in self._procs:
+        procs = list(self._procs)
+        for _ in procs:
             self._tasks.put(None)
-        for proc in self._procs:
+        for proc in procs:
             proc.join(timeout=timeout)
-        for proc in self._procs:
+        for proc in procs:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        self._stop.set()
+        # The collector reaps every exited worker and stops with the last.
         self._collector.join(timeout=timeout)
         # Cancel the task queue's feeder thread so shutdown never blocks;
         # the result SimpleQueue has no feeder, a plain close suffices.
@@ -170,26 +171,21 @@ class WorkerPool:
     # -- collector / supervisor ---------------------------------------------
 
     def _collect(self) -> None:
-        while not self._stop.is_set():
-            drained = self._drain_results()
-            if not drained:
-                self._check_liveness()
+        # Only this thread reads the result pipe; ProcessPoolExecutor waits
+        # on ``SimpleQueue._reader`` the same way.  The loop ends once no
+        # worker is left: after close(), or when the restart guard gave up.
+        reader = self._results._reader
+        while self._procs:
+            ready = wait([reader, *(p.sentinel for p in self._procs)])
+            if reader in ready:
+                self._drain_results()
+            for proc in [p for p in self._procs if p.sentinel in ready]:
+                self._reap(proc)
 
-    def _drain_results(self, block: bool = True) -> int:
-        """Process queued result messages; returns how many were handled.
-
-        Only the collector thread reads ``self._results``, so the
-        ``empty()`` check followed by ``get()`` cannot race.
-        """
-        import time as _time
-
-        handled = 0
-        if block and self._results.empty():
-            _time.sleep(_POLL_INTERVAL)
+    def _drain_results(self) -> None:
+        """Process every queued result message (collector thread only)."""
         while not self._results.empty():
-            msg = self._results.get()
-            handled += 1
-            event, job_id, payload = msg
+            event, job_id, payload = self._results.get()
             if event == "claim":
                 self._claims[payload] = job_id
                 self._emit("start", job_id, payload)
@@ -199,25 +195,23 @@ class WorkerPool:
                         del self._claims[pid]
                 self._finish(event, job_id, payload)
 
-    def _check_liveness(self) -> None:
-        for i, proc in enumerate(self._procs):
-            if proc.is_alive():
-                continue
-            # The worker is gone.  Drain once more: its final messages may
-            # still be in flight, and a job that managed to report "done"
-            # before dying must not be failed retroactively.
-            self._drain_results(block=False)
-            job_id = self._claims.pop(proc.pid, None)
-            if job_id is not None:
-                self._finish(
-                    "crashed",
-                    job_id,
-                    f"worker pid {proc.pid} died (exitcode {proc.exitcode}) mid-job",
-                )
-            if self._closed:
-                continue
-            if self.restarts >= self._max_restarts:
-                continue  # crash loop guard: stop replacing workers
+    def _reap(self, proc) -> None:
+        """Fail the job a dead worker had claimed; replace the worker."""
+        # Its final messages may still be in the pipe, and a job that
+        # managed to report "done" before dying must not be failed.
+        self._drain_results()
+        proc.join()  # its sentinel fired: reaps the exit code at once
+        job_id = self._claims.pop(proc.pid, None)
+        if job_id is not None:
+            self._finish(
+                "crashed",
+                job_id,
+                f"worker pid {proc.pid} died (exitcode {proc.exitcode}) mid-job",
+            )
+        i = self._procs.index(proc)
+        if self._closed or self.restarts >= self._max_restarts:
+            del self._procs[i]  # crash loop guard: stop replacing workers
+        else:
             self.restarts += 1
             self._procs[i] = self._spawn()
 

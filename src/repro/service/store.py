@@ -118,8 +118,9 @@ class TraceStore:
             self._index[digest] = entry
             return entry
 
-    def put_bytes(self, data: bytes, name: str | None = None) -> StoredTrace:
-        """Store an uploaded trace blob (either supported format)."""
+    def parse_upload(self, data: bytes) -> Trace:
+        """Parse an uploaded trace blob (either supported format); a 400
+        when it is not a trace.  :meth:`put_trace` stores the result."""
         if not data:
             raise ServiceError("empty upload is not a trace", status=400)
         # Unique per call: thread idents are recycled by the OS, so a
@@ -128,10 +129,9 @@ class TraceStore:
         try:
             tmp.write_bytes(data)
             try:
-                trace = read_trace(tmp)
+                return read_trace(tmp)
             except TraceError as exc:
                 raise ServiceError(f"unparseable trace upload: {exc}", status=400) from exc
-            return self.put_trace(trace, name=name)
         finally:
             tmp.unlink(missing_ok=True)
 
@@ -208,7 +208,7 @@ class TraceStore:
         """Rebuild the index from sidecars; reap anything half-written.
 
         Called on startup (constructor).  Orphans are the residue of a
-        crash at any point in :meth:`put_trace`/:meth:`put_bytes`:
+        crash at any point in :meth:`parse_upload`/:meth:`put_trace`:
         staging files, and trace bodies whose sidecar never landed.
         """
         # Stale staging files in the scratch dir (ours or a dead peer's).

@@ -45,7 +45,7 @@ class TestUploadCrash:
     def test_stale_staging_files_reaped(self, tmp_path, micro):
         store = TraceStore(tmp_path)
         store.put_trace(micro)
-        # A crashed put_bytes/put_trace leaves unique staging files.
+        # A crashed parse_upload/put_trace leaves unique staging files.
         (tmp_path / ".upload-deadc0de.tmp").write_bytes(b"half an upload")
         (tmp_path / ".stage-deadc0de.tmp").write_bytes(b"half a store write")
         reopened = TraceStore(tmp_path)
@@ -85,7 +85,7 @@ class TestUploadCrash:
         leftover = tmp_path / ".upload-00000000000000000000000000000000.tmp"
         leftover.write_bytes(b"crashed upload residue")
         data = write_trace(micro, tmp_path / "up.clt").read_bytes()
-        entry = store.put_bytes(data)
+        entry = store.put_trace(store.parse_upload(data))
         assert leftover.read_bytes() == b"crashed upload residue"
         assert entry.digest == trace_digest(micro)
         (tmp_path / "up.clt").unlink()

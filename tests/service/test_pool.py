@@ -6,6 +6,7 @@ perturb the others.
 """
 
 import os
+import statistics
 import threading
 import time
 
@@ -89,6 +90,50 @@ def test_worker_crash_marks_job_failed_and_pool_survives():
         assert event == "done"
         assert payload["echo"] == "alive"
         assert pool.restarts == 1
+
+
+def test_collector_wakes_on_each_result():
+    """The collector sleeps on the result pipe, not on a polling tick: 20
+    back-to-back no-op jobs through one worker take well under the up to
+    0.4 s that a 20 ms tick adds (one tick per result that finds the
+    collector asleep)."""
+    recorder = Recorder()
+    with WorkerPool(workers=1, on_event=recorder) as pool:
+        pool.submit("warm", "selftest", [], {})
+        assert recorder.wait_for("warm")[0] == "done"
+        t0 = time.perf_counter()
+        for i in range(20):
+            pool.submit(f"b2b{i}", "selftest", [], {})
+            assert recorder.wait_for(f"b2b{i}")[0] == "done"
+        assert time.perf_counter() - t0 < 0.2
+
+
+def test_idle_collector_answers_a_job_at_once():
+    """A job submitted to an idle pool is answered in about one pipe round
+    trip.  Under a 20 ms polling tick it would wait out the rest of the
+    tick, a median near 10 ms."""
+    recorder = Recorder()
+    with WorkerPool(workers=1, on_event=recorder) as pool:
+        pool.submit("warm", "selftest", [], {})
+        assert recorder.wait_for("warm")[0] == "done"
+        latencies = []
+        for i in range(20):
+            time.sleep(0.025)  # let the collector go idle first
+            t0 = time.perf_counter()
+            pool.submit(f"idle{i}", "selftest", [], {})
+            assert recorder.wait_for(f"idle{i}")[0] == "done"
+            latencies.append(time.perf_counter() - t0)
+        assert statistics.median(latencies) < 0.005, latencies
+
+
+def test_collector_stops_with_its_last_worker():
+    recorder = Recorder()
+    pool = WorkerPool(workers=1, on_event=recorder, max_restarts=0)
+    pool.submit("victim", "selftest", [], {"crash": True})
+    assert recorder.wait_for("victim")[0] == "crashed"
+    pool._collector.join(timeout=10)
+    assert not pool._collector.is_alive()  # no worker left to wait for
+    pool.close()
 
 
 def test_inline_mode_runs_synchronously():
